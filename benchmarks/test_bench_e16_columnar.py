@@ -13,9 +13,8 @@ queries (parsed and translated like any request) whose plans are
 dominated by scans with comparison filters, equi-joins, and column
 projections — the operators with real vectorized kernels.  Queries
 dominated by per-row Python scalar-function calls cannot vectorize the
-function itself and are excluded by design (E12 covers them; the
-representation never changes their answers, as the differential suite
-proves).
+function itself and are excluded by design (the representation never
+changes their answers, as the differential suite proves).
 
 Both representations run identical plans and must return identical
 relations, and both are held to the reference algebra evaluator —
@@ -37,19 +36,55 @@ pytest.importorskip("numpy")
 
 from repro.algebra.evaluator import evaluate
 from repro.core.parser import parse_query
+from repro.data.instance import Instance
+from repro.data.relation import Relation
 from repro.translate.pipeline import translate_query
 from repro.workloads.gallery import standard_gallery_interp
 
-from benchmarks.test_bench_e12_vectorized import scaled_gallery_instance
-
-#: Rows per relation — larger than E12's default so per-row Python
-#: overhead (the thing vectorization removes) dominates timing noise.
+#: Rows per relation — large enough that per-row Python overhead (the
+#: thing vectorization removes) dominates timing noise.
 SCALE = 3000
 
 #: Value universe, coprime-friendly with the affine fills.
 UNIVERSE = 4096
 
 BEST_OF = 3
+
+
+def scaled_gallery_instance(n: int, universe: int) -> Instance:
+    """The gallery's relations, scaled to ``n`` rows each.
+
+    Deterministic affine fills (stride coprime with the universe, so no
+    set-semantics collapse); the same relation names and arities as
+    :func:`repro.workloads.gallery.gallery_instance`, so every gallery
+    query runs unchanged.
+    """
+    def unary(stride: int, offset: int) -> Relation:
+        return Relation(1, {((i * stride + offset) % universe,)
+                            for i in range(n)})
+
+    def binary(s1: int, o1: int, s2: int, o2: int) -> Relation:
+        return Relation(2, {((i * s1 + o1) % universe,
+                             (i * s2 + o2) % universe)
+                            for i in range(n)})
+
+    def ternary(s1: int, s2: int, s3: int) -> Relation:
+        return Relation(3, {((i * s1) % universe,
+                             (i * s2 + 1) % universe,
+                             (i * s3 + 2) % universe)
+                            for i in range(n)})
+
+    return Instance({
+        "R": unary(3, 1),
+        "S": unary(5, 2),
+        "T": unary(7, 3),
+        "R2": binary(3, 0, 11, 8),
+        "S2": binary(3, 0, 11, 8),      # overlaps R2: diffs/anti-joins bite
+        "P": binary(7, 2, 17, 5),
+        "R3": ternary(3, 5, 7),
+        "W": ternary(11, 5, 13),
+    })
+
 
 #: The scan/join/map-heavy subset: comparison-filtered scans, two- and
 #: three-relation equi-joins, and head reordering (column projection).

@@ -293,8 +293,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     profile = ExecutionProfile(query=args.query) if args.analyze else None
     report = execute(result.plan, instance, interp, schema=result.schema,
                      profile=profile, batch_size=args.batch_size,
-                     optimize=args.optimize, backend=args.backend,
-                     batch_repr=args.batch_repr)
+                     optimize=args.optimize, batch_repr=args.batch_repr)
     print(f"plan:   {to_algebra_text(result.plan)}")
     print(f"stats:  {report.summary()}")
     for row in sorted(report.result.rows, key=repr)[:args.limit]:
@@ -304,25 +303,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if profile is not None:
         print()
         _print_rewrites(report)
-        if report.backend != "native":
-            _print_backend(report)
-        else:
-            print("explain analyze:")
-            print(render_explain_analyze(profile))
+        print("explain analyze:")
+        print(render_explain_analyze(profile))
     return 0
-
-
-def _print_backend(report) -> None:
-    """Render the backend's generated SQL and its own plan explanation
-    (per-operator EXPLAIN ANALYZE is native-only)."""
-    print(f"backend: {report.backend} "
-          f"(compiled in {report.backend_compile_seconds * 1e3:.2f} ms)")
-    print("generated SQL:")
-    print("  " + report.backend_sql)
-    if report.backend_explain:
-        print("explain query plan:")
-        for line in report.backend_explain:
-            print(f"  {line}")
 
 
 def _print_rewrites(report) -> None:
@@ -407,8 +390,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                            cache_size=args.cache_size,
                            max_workers=args.workers,
                            default_timeout_s=args.timeout,
-                           optimize=args.optimize,
-                           backend=args.backend)
+                           optimize=args.optimize)
     with service:
         reports = service.run_many(requests)
     failures = 0
@@ -520,14 +502,6 @@ def _add_optimize(parser: argparse.ArgumentParser) -> None:
              "var, else on)")
 
 
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend", choices=("native", "sqlite"), default=None,
-        help="execution engine (default: REPRO_BACKEND env var, else "
-             "the native batch engine); sqlite compiles the plan to SQL "
-             "and falls back to native on unsupported plans")
-
-
 def _add_batch_repr(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-repr", choices=("tuple", "column"), default=None,
@@ -594,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(estimated vs actual rows and timings)")
     _add_batch_size(run)
     _add_optimize(run)
-    _add_backend(run)
     _add_batch_repr(run)
     run.set_defaults(fn=_cmd_run)
 
@@ -635,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--json", metavar="OUT",
                        help="write reports + cache stats + metrics as JSON")
     _add_optimize(serve)
-    _add_backend(serve)
     serve.set_defaults(fn=_cmd_serve)
 
     bench_service = sub.add_parser(

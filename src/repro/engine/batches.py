@@ -34,8 +34,8 @@ extra): it is imported lazily, and when it is missing — or the
 ``REPRO_NO_NUMPY`` environment variable is set, which CI uses to
 exercise the no-NumPy configuration — requesting the column
 representation degrades to tuple-batches with the single structured
-diagnostic code :data:`COLUMNAR_UNAVAILABLE`, reported on the
-:class:`~repro.engine.executor.RunReport` like a backend fallback.
+diagnostic code :data:`COLUMNAR_UNAVAILABLE`, reported in the
+``batch_repr_error`` field of :class:`~repro.engine.executor.RunReport`.
 """
 
 from __future__ import annotations
@@ -170,7 +170,8 @@ def resolve_batch_repr(batch_repr: str | None = None) -> tuple[str, str]:
     requested but NumPy is unavailable, the resolution is ``"tuple"``
     and ``reason`` carries the coded :data:`COLUMNAR_UNAVAILABLE`
     diagnostic — the caller records it (on the RunReport) rather than
-    failing, mirroring the backend-fallback contract.
+    failing, so a missing optional dependency costs speed, never the
+    answer.
     """
     if batch_repr is None:
         resolved = default_batch_repr()

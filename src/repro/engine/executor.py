@@ -28,9 +28,8 @@ from repro.engine.rewrite import (
     optimize_enabled,
     optimize_plan,
 )
-from repro.errors import BackendError, EvaluationError, PlanInvariantError
+from repro.errors import EvaluationError, PlanInvariantError
 from repro.obs.profile import ExecutionProfile
-from repro.obs.tracing import NULL_TRACER, SpanTracer
 
 __all__ = ["RunReport", "execute", "plan_catalog"]
 
@@ -54,21 +53,7 @@ class RunReport:
     #: The rewrites the failed optimizer run had applied before the
     #: error — the trail that used to be silently discarded.
     failed_rewrites: tuple[RewriteStep, ...] = ()
-    #: Which engine produced the result: "native" or "sqlite".
-    backend: str = "native"
-    #: Why a requested non-native backend fell back to the native
-    #: engine ("" = no fallback happened).  When set, ``backend`` names
-    #: the engine that actually ran — "native".
-    backend_error: str = ""
-    #: The SQL the backend compiled and ran ("" on the native engine).
-    backend_sql: str = ""
-    #: Time the backend spent compiling the plan (SQL generation),
-    #: separate from ``elapsed_seconds`` (execution).
-    backend_compile_seconds: float = 0.0
-    #: The backend's own plan explanation (SQLite: EXPLAIN QUERY PLAN
-    #: detail lines), for ``run --analyze``.
-    backend_explain: tuple[str, ...] = ()
-    #: The batch representation the native engine actually ran with:
+    #: The batch representation the engine actually ran with:
     #: "tuple" or "column".
     batch_repr: str = "tuple"
     #: Why a requested column representation fell back to tuple batches
@@ -95,12 +80,6 @@ class RunReport:
             text += (f"; optimizer fell back after "
                      f"{len(self.failed_rewrites)} rewrite(s): "
                      f"{self.optimizer_error}")
-        if self.backend != "native":
-            text += (f"; backend: {self.backend} (compiled in "
-                     f"{self.backend_compile_seconds * 1e3:.2f} ms)")
-        if self.backend_error:
-            first_line = self.backend_error.splitlines()[0]
-            text += f"; backend fell back to native: {first_line}"
         if self.batch_repr != "tuple":
             kernels = self.counters.kernel_batches
             fallbacks = self.counters.fallback_batches
@@ -132,9 +111,7 @@ def execute(expr: AlgebraExpr, instance: Instance,
             profile: ExecutionProfile | None = None,
             batch_size: int | None = None,
             optimize: bool | None = None,
-            backend: str | None = None,
-            batch_repr: str | None = None,
-            tracer: SpanTracer = NULL_TRACER) -> RunReport:
+            batch_repr: str | None = None) -> RunReport:
     """Optimize, plan, and run ``expr``, returning the result with
     measurements.
 
@@ -159,32 +136,13 @@ def execute(expr: AlgebraExpr, instance: Instance,
     data behind ``EXPLAIN ANALYZE`` (:mod:`repro.obs.explain`).
     Without it the execution path is untouched.
 
-    ``backend`` selects the execution engine (``None`` defers to
-    ``REPRO_BACKEND``, default the native batch engine).  The
-    ``sqlite`` backend exports the (optimized) plan to the serializable
-    IR, lowers it to SQL, and runs it on stdlib ``sqlite3``; the
-    report's ``backend``/``backend_sql``/``backend_compile_seconds``/
-    ``backend_explain`` fields describe what ran.  A
-    :class:`~repro.errors.BackendError` (unsupported plan shape or
-    value) is a *fallback* signal: the native engine runs the same plan
-    and the report records the reason in ``backend_error`` — a backend
-    gap degrades performance, never correctness.  Per-operator
-    profiling is native-only; a profiled sqlite request still fills the
-    top-level result fields.  ``tracer`` receives the backend's
-    ``backend.compile``/``backend.execute`` spans.
-
-    ``batch_repr`` selects the native engine's batch representation
-    (``None`` defers to ``REPRO_BATCH_REPR``, default ``tuple``).
-    Requesting ``column`` without NumPy is a *fallback*, not an error:
-    the engine runs on tuple batches and the report records the coded
-    diagnostic in ``batch_repr_error`` — mirroring the backend-fallback
-    contract.  An unknown name raises eagerly.  The representation is
-    native-engine-only; a run served by the sqlite backend ignores it.
+    ``batch_repr`` selects the batch representation (``None`` defers
+    to ``REPRO_BATCH_REPR``, default ``tuple``).  Requesting ``column``
+    without NumPy is a *fallback*, not an error: the engine runs on
+    tuple batches and the report records the coded diagnostic in
+    ``batch_repr_error``, so a missing optional dependency costs speed,
+    never the answer.  An unknown name raises eagerly.
     """
-    from repro.backends import resolve_backend
-    from repro.backends.sqlite import run_sqlite_plan
-
-    backend_name = resolve_backend(backend)
     resolved_repr, repr_reason = resolve_batch_repr(batch_repr)
     interpretation.reset_counts()
     counters = OpCounters()
@@ -213,37 +171,6 @@ def execute(expr: AlgebraExpr, instance: Instance,
             plan = outcome.plan
             rewrites = outcome.steps
             shared = outcome.shared or None
-    backend_error = ""
-    if backend_name == "sqlite":
-        try:
-            sqlite_run = run_sqlite_plan(plan, instance, interpretation,
-                                         catalog, schema, tracer=tracer)
-        except BackendError as err:
-            # fallback signal: the native engine runs the same plan and
-            # the report says why — never a wrong answer, only a slower
-            # or differently-executed one
-            backend_error = str(err)
-            interpretation.reset_counts()
-        else:
-            if profile is not None:
-                profile.elapsed_s = sqlite_run.execute_seconds
-                profile.result_rows = len(sqlite_run.result)
-                profile.function_calls = sqlite_run.function_calls
-            return RunReport(
-                result=sqlite_run.result,
-                elapsed_seconds=sqlite_run.execute_seconds,
-                counters=counters,
-                function_calls=sqlite_run.function_calls,
-                profile=profile,
-                rewrites=rewrites,
-                optimize_seconds=optimize_elapsed,
-                optimizer_error=optimizer_error,
-                failed_rewrites=failed_rewrites,
-                backend="sqlite",
-                backend_sql=sqlite_run.sql,
-                backend_compile_seconds=sqlite_run.compile_seconds,
-                backend_explain=sqlite_run.explain,
-            )
     plan_types = None
     if profile is not None:
         try:
@@ -274,7 +201,6 @@ def execute(expr: AlgebraExpr, instance: Instance,
         optimize_seconds=optimize_elapsed,
         optimizer_error=optimizer_error,
         failed_rewrites=failed_rewrites,
-        backend_error=backend_error,
         batch_repr=resolved_repr,
         batch_repr_error=repr_reason,
     )

@@ -92,12 +92,6 @@ def _split_join_conditions(conds: frozenset[Condition], left_arity: int
     return tuple(pairs), frozenset(residual)
 
 
-# The anti-join pattern matcher lives with the rewrites that must
-# preserve it; re-exported under its historical name for callers that
-# imported it from here.
-_match_anti_join = match_anti_join
-
-
 def build_physical_plan(expr: AlgebraExpr, instance: Instance,
                         interpretation: Interpretation,
                         schema: DatabaseSchema | None = None,
@@ -234,7 +228,7 @@ def build_physical_plan(expr: AlgebraExpr, instance: Instance,
             left, right = go(node.left), go(node.right)
             return wrap(UnionOp(left, right), "union", node, left, right)
         if isinstance(node, Diff):
-            anti = _match_anti_join(node)
+            anti = match_anti_join(node)
             if anti is not None:
                 join_conds, left_expr, right_expr = anti
                 left = go(left_expr)

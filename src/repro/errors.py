@@ -183,39 +183,6 @@ class RewriteValidationError(PlanInvariantError):
     """
 
 
-class BackendError(ReproError):
-    """A pluggable execution backend could not compile or run a plan.
-
-    Raised by :mod:`repro.backends` for plans or values the target
-    backend cannot represent (``code`` carries a stable diagnostic
-    code, ``hint`` a one-line fix).  The executor treats a backend
-    error as a *fallback* signal — the native engine runs the plan and
-    the error is recorded on the :class:`~repro.engine.executor.RunReport`
-    — so a backend gap degrades performance, never correctness.
-
-    Stable codes:
-
-    ========  ==========================================================
-    BK001     unknown IR node kind while decoding serialized plan IR
-    BK002     a value the backend's storage cannot represent
-    BK003     structurally malformed IR JSON (missing/ill-typed fields)
-    BK004     a plan feature the backend does not support
-    BK005     unknown backend name
-    ========  ==========================================================
-    """
-
-    def __init__(self, message: str, code: str = "BK000", hint: str = ""):
-        self.code = code
-        self.hint = hint
-        super().__init__(message)
-
-    def __str__(self) -> str:
-        message = f"[{self.code}] {super().__str__()}"
-        if self.hint:
-            message += f"\n  hint: {self.hint}"
-        return message
-
-
 class EvaluationError(ReproError):
     """Evaluation of a calculus or algebra query failed.
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Hashable, Iterable, Mapping
 
+from repro.algebra.ast import compare_values
 from repro.core.formulas import (
     And,
     Compare,
@@ -61,13 +62,11 @@ def satisfies(formula: Formula, valuation: Mapping[str, Hashable],
                 return False
             return row in instance.relation(f.name)
         if isinstance(f, Equals):
-            from repro.algebra.ast import compare_values
             return compare_values(
                 "=",
                 evaluate_term(f.left, env, interpretation),
                 evaluate_term(f.right, env, interpretation))
         if isinstance(f, Compare):
-            from repro.algebra.ast import compare_values
             return compare_values(
                 f.op,
                 evaluate_term(f.left, env, interpretation),

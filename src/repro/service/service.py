@@ -158,11 +158,7 @@ class ServiceReport:
     plan_text: str | None = None
     timings: dict[str, float] = field(default_factory=dict)
     function_calls: int = 0
-    #: Which engine produced the result ("native" or "sqlite").
-    backend: str = "native"
-    #: Why a requested non-native backend fell back ("" = it did not).
-    backend_error: str = ""
-    #: The batch representation the native engine ran with.
+    #: The batch representation the engine ran with.
     batch_repr: str = "tuple"
     #: Why a requested column representation fell back ("" = it did not).
     batch_repr_error: str = ""
@@ -190,10 +186,6 @@ class ServiceReport:
             out["error"] = self.error
         if self.plan_text is not None:
             out["plan"] = self.plan_text
-        if self.backend != "native":
-            out["backend"] = self.backend
-        if self.backend_error:
-            out["backend_error"] = self.backend_error
         if self.batch_repr != "tuple":
             out["batch_repr"] = self.batch_repr
         if self.batch_repr_error:
@@ -224,7 +216,6 @@ class QueryService:
                  tracer: SpanTracer | None = None,
                  batch_size: int | None = None,
                  optimize: bool | None = None,
-                 backend: str | None = None,
                  batch_repr: str | None = None):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -239,11 +230,6 @@ class QueryService:
         # Cost-based rewrite pass for every execution this service runs;
         # None defers to REPRO_OPTIMIZE / the engine default (on).
         self.optimize = optimize
-        # Execution backend for every request; None defers to
-        # REPRO_BACKEND / the native engine.  Resolved eagerly so an
-        # unknown name fails at construction, not on the first request.
-        from repro.backends import resolve_backend
-        self.backend = resolve_backend(backend)
         # Batch representation for every execution this service runs;
         # None defers to REPRO_BATCH_REPR / tuple.  Validated eagerly so
         # an unknown name fails at construction; the columnar-
@@ -557,12 +543,9 @@ class QueryService:
                 run = execute(plan, instance, interp, schema=outcome.schema,
                               batch_size=self.batch_size,
                               optimize=self.optimize,
-                              backend=self.backend,
-                              batch_repr=self.batch_repr, tracer=tracer)
+                              batch_repr=self.batch_repr)
                 if tracer.enabled:
                     span.attrs["rows"] = len(run.result)
-                    if run.backend != "native":
-                        span.attrs["backend"] = run.backend
         except ReproError as err:
             report.status = "error"
             report.error = str(err)
@@ -573,8 +556,6 @@ class QueryService:
 
         report.result = run.result
         report.function_calls = run.function_calls
-        report.backend = run.backend
-        report.backend_error = run.backend_error
         report.batch_repr = run.batch_repr
         report.batch_repr_error = run.batch_repr_error
         from repro.algebra.printer import to_algebra_text

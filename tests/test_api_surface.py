@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.workloads",
     "repro.analysis",
     "repro.service",
-    "repro.backends",
 ]
 
 MODULES = PACKAGES + [
@@ -49,7 +48,6 @@ MODULES = PACKAGES + [
     "repro.analysis.sanitizer",
     "repro.service.normalize", "repro.service.cache",
     "repro.service.service", "repro.service.bench",
-    "repro.backends.ir", "repro.backends.sqlite",
     "repro.workloads.gallery", "repro.workloads.practical",
     "repro.workloads.families", "repro.workloads.random_queries",
     "repro.errors", "repro.cli",

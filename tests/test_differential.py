@@ -6,21 +6,17 @@ For every corpus query the harness compares
 
 * the **reference calculus evaluator** (``evaluate_query`` — direct
   active-domain enumeration, the semantic ground truth),
-* the **physical executor** running the translated algebra plan,
-* the **SQLite backend** (the plan exported to IR, lowered to SQL, run
-  on stdlib ``sqlite3`` — the three-way oracle leg; a sqlite report
-  must really come from sqlite, so silent fallback to the native
-  engine fails the sweep), and
+* the **physical executor** running the translated algebra plan, and
 * the **query service**, both on a cold cache and on a warm cache
   (so a caching bug that corrupts or cross-wires plans shows up as a
   divergence, not a silent wrong answer).
 
-On top of the random corpus, ``TestHeavyCasesThreeWay`` pins
-hand-picked UNDEFINED-heavy (partial scalar functions undefined on
-half the domain) and scalar-function-heavy (nested applications in
-join keys, negations, and anti-join conditions) queries across all
-three evaluators — the cases where the UNDEFINED-as-NULL mapping has
-the most room to go wrong.
+On top of the random corpus, ``TestHeavyCases`` pins hand-picked
+UNDEFINED-heavy (partial scalar functions undefined on half the domain)
+and scalar-function-heavy (nested applications in join keys,
+negations, and anti-join conditions) queries on the reference evaluator
+and the executor — the cases where UNDEFINED has the most room to go
+wrong.
 
 ``TestBatchSizeInvariance`` and ``TestBatchReprInvariance`` then prove
 the engine's batching knobs are answer-invariant: every swept plan
@@ -28,9 +24,8 @@ returns the identical relation at every batch size and under both
 batch representations (tuple lists and NumPy column batches), with the
 UNDEFINED-heavy cases riding along under the partial interpretation.
 
-Any mismatch fails with the query text, the seed, the generated SQL
-(for the sqlite leg), and both result sets, so a failure is
-reproducible from the message alone:
+Any mismatch fails with the query text, the seed, and both result
+sets, so a failure is reproducible from the message alone:
 
     PYTHONPATH=src python -m pytest "tests/test_differential.py" \\
         -k "chunk0"
@@ -104,28 +99,6 @@ def _mismatch(kind: str, seed: int, text: str, want, got) -> str:
             f"  got:       {_sorted_rows(got)}")
 
 
-def _sql_mismatch(kind: str, seed: int, text: str, sql: str,
-                  want, got) -> str:
-    return (_mismatch(kind, seed, text, want, got)
-            + f"\n  sql:       {sql}")
-
-
-def _run_sqlite_leg(plan, schema, instance, interp, seed: int, text: str,
-                    reference) -> None:
-    """Execute ``plan`` through the sqlite backend and hold it to the
-    reference answer.  A fallback to the native engine would make the
-    comparison vacuous, so it fails the sweep too."""
-    run = execute(plan, instance, interp, schema=schema, backend="sqlite")
-    assert run.backend == "sqlite" and not run.backend_error, (
-        f"sqlite leg fell back to the native engine\n"
-        f"  seed:   {seed}\n"
-        f"  query:  {text}\n"
-        f"  reason: {run.backend_error}")
-    assert run.result == reference, \
-        _sql_mismatch("sqlite-vs-reference", seed, text, run.backend_sql,
-                      reference, run.result)
-
-
 def _fixture(seed: int):
     """Deterministic (query, schema, instance, interpretation) per seed."""
     from repro.core.printer import to_text
@@ -159,12 +132,7 @@ class TestRandomCorpusDifferential:
                 _mismatch("executor-vs-reference", seed, text,
                           reference, run.result)
 
-            # Leg 2: the same plan through the SQLite backend — the
-            # three-way oracle (reference vs native vs SQL lowering).
-            _run_sqlite_leg(result.plan, result.schema, instance, interp,
-                            seed, text, reference)
-
-            # Leg 3: the service, cold then warm, on the same data.
+            # Leg 2: the service, cold then warm, on the same data.
             with QueryService(instance, interpretation=interp) as svc:
                 cold = svc.run(text)
                 warm = svc.run(text)
@@ -197,9 +165,6 @@ class TestGalleryDifferential:
             _mismatch("executor-vs-reference", -1, entry.text,
                       reference, run.result)
 
-        _run_sqlite_leg(result.plan, result.schema, instance, interp,
-                        -1, entry.text, reference)
-
         with QueryService(instance, interpretation=interp) as svc:
             cold = svc.run(entry.text)
             warm = svc.run(entry.text)
@@ -212,11 +177,10 @@ class TestGalleryDifferential:
                       reference, warm.result)
 
 
-#: Hand-picked three-way cases over the gallery instance: comparisons,
-#: negations, join keys, projected heads, anti-joins, and nested
-#: applications of scalar functions — each is where the SQLite
-#: UNDEFINED-as-NULL mapping has the most room to diverge from the
-#: calculus semantics.
+#: Hand-picked cases over the gallery instance: comparisons, negations,
+#: join keys, projected heads, anti-joins, and nested applications of
+#: scalar functions — each is where UNDEFINED has the most room to
+#: diverge from the calculus semantics.
 HEAVY_CASES = (
     ("partial-eq", "{ x | R(x) & f(x) = x }"),
     ("partial-neq", "{ x | R(x) & f(x) != x }"),
@@ -247,19 +211,17 @@ def _heavy_interp() -> Interpretation:
     }, name="gallery-partial")
 
 
-class TestHeavyCasesThreeWay:
-    """UNDEFINED-heavy and scalar-function-heavy queries pinned across
-    the reference evaluator, the native executor, and the SQLite
-    backend.  Each case runs under the gallery's total interpretation
-    *and* under a partial one (f/g/h/k undefined on even arguments), so
-    the NULL mapping is exercised in comparisons, join keys, projected
-    heads, and anti-joins — including the NULL <> NULL trap in
-    EXCEPT/NOT EXISTS."""
+class TestHeavyCases:
+    """UNDEFINED-heavy and scalar-function-heavy queries pinned on the
+    reference evaluator and the executor.  Each case runs under the
+    gallery's total interpretation *and* under a partial one (f/g/h/k
+    undefined on even arguments), so UNDEFINED is exercised in
+    comparisons, join keys, projected heads, and anti-joins."""
 
     @pytest.mark.parametrize("interp_kind", ["total", "partial"])
     @pytest.mark.parametrize("key,text", HEAVY_CASES,
                              ids=[k for k, _ in HEAVY_CASES])
-    def test_three_way_agreement(self, key, text, interp_kind):
+    def test_agrees_with_reference(self, key, text, interp_kind):
         query = parse_query(text)
         instance = gallery_instance()
         interp = (standard_gallery_interp() if interp_kind == "total"
@@ -270,8 +232,6 @@ class TestHeavyCasesThreeWay:
         assert run.result == reference, \
             _mismatch(f"executor-vs-reference[{interp_kind}]", -1, text,
                       reference, run.result)
-        _run_sqlite_leg(result.plan, result.schema, instance, interp,
-                        -1, text, reference)
 
     def test_partial_interp_really_is_partial(self):
         interp = _heavy_interp()

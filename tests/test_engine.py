@@ -351,3 +351,47 @@ class TestAntiJoin:
         got = execute(plan, inst, interp).result
         want = evaluate(plan, inst, interp)
         assert got == want
+
+
+class TestOrdinaryValues:
+    """Values the engine passes through untouched.  UNDEFINED is the
+    only value with special comparison rules; ``None`` and unbounded
+    Python ints are ordinary domain values."""
+
+    def test_none_in_an_instance_is_an_ordinary_value(self, interp):
+        instance = Instance({"R": Relation(1, [(1,), (None,)])})
+        run = execute(Rel("R"), instance, interp)
+        assert run.result.rows == frozenset({(1,), (None,)})
+
+    def test_function_returning_none_is_an_ordinary_value(self, inst):
+        # a non-partial f with f(x) = None: the condition compares two
+        # equal ordinary values, so every row survives
+        interp = Interpretation({"f": lambda v: None})
+        plan = Select(frozenset({Condition(CApp("f", (Col(1),)), "=",
+                                           CConst(None))}), Rel("R"))
+        run = execute(plan, inst, interp)
+        assert len(run.result) == 3
+        assert run.result == evaluate(plan, inst, interp)
+
+    def test_function_calls_count_rows_with_a_none_result(self, inst):
+        interp = Interpretation({"f": lambda v: None if v == 3 else v})
+        plan = Project((CApp("f", (Col(1),)),), Rel("R"))
+        # batch_repr pinned: f's None result is not column-
+        # representable, so a column batch would legitimately re-apply
+        # f on the tuple-kernel retry and double the count under test.
+        run = execute(plan, inst, interp, batch_repr="tuple")
+        assert run.function_calls == 3
+        assert run.result.rows == frozenset({(1,), (2,), (None,)})
+
+    def test_int_beyond_64_bits_passes_through(self, interp):
+        instance = Instance({"R": Relation(1, [(2 ** 64,)])})
+        run = execute(Rel("R"), instance, interp)
+        assert run.result.rows == frozenset({(2 ** 64,)})
+
+    def test_deep_select_chain_runs(self, inst, interp):
+        plan = Rel("R")
+        for i in range(60):
+            plan = Select(frozenset({Condition(Col(1), ">=",
+                                               CConst(-(i + 1)))}), plan)
+        run = execute(plan, inst, interp)
+        assert run.result.rows == frozenset({(1,), (2,), (3,)})

@@ -1,17 +1,16 @@
-"""UNDEFINED / NULL semantics pinned across all three evaluators.
+"""UNDEFINED semantics pinned on the reference evaluator and the engine.
 
 The calculus fixes one rule (``compare_values``): a comparison with an
 UNDEFINED operand is *false* for ``=`` and every ordering and *true*
-for ``!=``; a constructed row containing UNDEFINED is dropped.  The
-SQLite backend maps UNDEFINED to SQL NULL, where the native rules are
-different (``NULL = NULL`` is unknown, ``NULL <> x`` is unknown, and
-``EXCEPT``/``NOT EXISTS`` treat NULLs as *equal* for duplicate
-elimination — the classic trap).  Every test here builds a plan whose
-answer depends on exactly one of those divergences and asserts that
+for ``!=``; a constructed row containing UNDEFINED is dropped.  This is
+not SQL's three-valued NULL logic (``NULL = NULL`` is unknown,
+``NULL <> x`` is unknown, and ``EXCEPT``/``NOT EXISTS`` treat NULLs as
+*equal* for duplicate elimination).  Every test here builds a plan
+whose answer depends on exactly one place where the two rules part,
+and asserts that
 
-* the algebra reference evaluator (:func:`repro.algebra.evaluator.evaluate`),
-* the native batch executor (:func:`repro.engine.executor.execute`), and
-* the SQLite backend (``execute(backend="sqlite")``, fallback forbidden)
+* the algebra reference evaluator (:func:`repro.algebra.evaluator.evaluate`) and
+* the batch executor (:func:`repro.engine.executor.execute`)
 
 return the identical, hand-computed relation.
 """
@@ -56,25 +55,17 @@ def _instance() -> Instance:
     })
 
 
-def _three_way(plan, expected_rows, optimize=None):
-    """Reference / native / sqlite must all return ``expected_rows``."""
+def _agree(plan, expected_rows, optimize=None):
+    """Reference evaluator and executor must both return ``expected_rows``."""
     instance = _instance()
 
     reference = evaluate(plan, instance, _interp())
     assert set(reference.rows) == set(expected_rows), \
         f"reference disagrees with hand computation: {sorted(reference.rows, key=repr)}"
 
-    native = execute(plan, instance, _interp(), optimize=optimize)
-    assert native.result == reference, \
-        f"native executor diverged: {sorted(native.result.rows, key=repr)}"
-
-    sql = execute(plan, instance, _interp(), backend="sqlite",
-                  optimize=optimize)
-    assert sql.backend == "sqlite" and not sql.backend_error, \
-        f"sqlite leg fell back: {sql.backend_error}"
-    assert sql.result == reference, (
-        f"sqlite backend diverged\n  sql: {sql.backend_sql}\n"
-        f"  got: {sorted(sql.result.rows, key=repr)}")
+    run = execute(plan, instance, _interp(), optimize=optimize)
+    assert run.result == reference, \
+        f"executor diverged: {sorted(run.result.rows, key=repr)}"
 
 
 def _f(col: int) -> CApp:
@@ -108,7 +99,7 @@ class TestComparisonMatrix:
     def test_operator_with_undefined_operand(self, op, expected):
         plan = Select(frozenset({Condition(_f(1), op, CConst(13))}),
                       Rel("R"))
-        _three_way(plan, expected)
+        _agree(plan, expected)
 
     @pytest.mark.parametrize("op,expected", [
         ("=", set()),                   # UNDEFINED = UNDEFINED is still false
@@ -118,15 +109,15 @@ class TestComparisonMatrix:
         # f is undefined on evens, g on odds — f(x) vs g(x) always has
         # at least one UNDEFINED side, so the answer is pure null rule.
         plan = Select(frozenset({Condition(_f(1), op, _g(1))}), Rel("R"))
-        _three_way(plan, expected)
+        _agree(plan, expected)
 
     def test_mixed_type_ordering_is_false_not_an_error(self):
         # MIX holds ints and a string: Python raises TypeError on
-        # int < str (the calculus says false), SQLite would happily
-        # order across types — the comparator UDFs must win.
+        # int < str, but the calculus says false — and SQL would
+        # happily order across types.
         plan = Select(frozenset({Condition(Col(1), "<", CConst(2))}),
                       Rel("MIX"))
-        _three_way(plan, {(1,)})
+        _agree(plan, {(1,)})
 
 
 class TestJoinKeys:
@@ -135,7 +126,7 @@ class TestJoinKeys:
         # (1, 11) and (3, 13) could match; S holds 11 but not 13.
         plan = Join(frozenset({Condition(_f(1), "=", Col(2))}),
                     Rel("R"), Rel("S"))
-        _three_way(plan, {(1, 11)})
+        _agree(plan, {(1, 11)})
 
     def test_undefined_inequality_join_key_matches_everything(self):
         # f(x) != s is TRUE whenever f(x) is UNDEFINED: the even rows
@@ -145,43 +136,42 @@ class TestJoinKeys:
         expected = {(x, s) for x in (2, 4) for s in (11, 12, 14)}
         expected |= {(1, 12), (1, 14)}          # f(1)=11 excludes (1,11)
         expected |= {(3, 11), (3, 12), (3, 14)}  # f(3)=13 not in S
-        _three_way(plan, expected)
+        _agree(plan, expected)
 
 
 class TestProjectionDropsUndefined:
     def test_undefined_head_rows_are_dropped(self):
-        # { f(x) | R(x) }: rows where f is undefined vanish — natively
-        # because the engine drops UNDEFINED rows, in SQL because the
-        # IS NOT NULL guard filters them before they become NULL rows.
+        # { f(x) | R(x) }: rows where f is undefined vanish instead of
+        # becoming NULL rows.
         plan = Project((_f(1),), Rel("R"))
-        _three_way(plan, {(11,), (13,)})
+        _agree(plan, {(11,), (13,)})
 
     def test_no_nulls_ever_escape_to_the_answer(self):
         plan = Project((_f(1), _g(1)), Rel("R"))
         # f and g are never both defined: the answer must be empty,
         # not full of half-NULL rows.
-        _three_way(plan, set())
+        _agree(plan, set())
 
 
 class TestDifferenceAndAntiJoin:
     """The EXCEPT / NOT EXISTS NULL traps.
 
     In SQL, ``EXCEPT`` and ``IN`` treat two NULLs as duplicates, so a
-    NULL-producing subtrahend could silently delete rows.  The backend
-    never lets NULL reach those operators (projection guards), and
-    these tests prove the composed behavior equals the calculus.
+    NULL-producing subtrahend could silently delete rows.  Here an
+    UNDEFINED value never reaches a difference (projection drops it),
+    and these tests prove the composed behavior equals the calculus.
     """
 
     def test_difference_with_partial_functions(self):
         # {f(x) | R} = {11, 13};  {g(x) | R} = {12, 14};  disjoint here.
         plan = Diff(Project((_f(1),), Rel("R")),
                     Project((_g(1),), Rel("R")))
-        _three_way(plan, {(11,), (13,)})
+        _agree(plan, {(11,), (13,)})
 
     def test_difference_removes_only_defined_matches(self):
         # {f(x) | R} minus S: S = {11, 12, 14} removes 11, keeps 13.
         plan = Diff(Project((_f(1),), Rel("R")), Rel("S"))
-        _three_way(plan, {(13,)})
+        _agree(plan, {(13,)})
 
     def test_anti_join_shape_with_partial_key(self):
         # R rows with no S partner under f(x) = s — the Diff shape the
@@ -192,6 +182,6 @@ class TestDifferenceAndAntiJoin:
                         Join(frozenset({Condition(_f(1), "=", Col(2))}),
                              context, Rel("S")))
         plan = Diff(context, probe)
-        _three_way(plan, {(2,), (3,), (4,)})
+        _agree(plan, {(2,), (3,), (4,)})
         # the same answer must hold with the optimizer free to rewrite
-        _three_way(plan, {(2,), (3,), (4,)}, optimize=True)
+        _agree(plan, {(2,), (3,), (4,)}, optimize=True)
