@@ -24,6 +24,7 @@ Algebra nodes:
 ``Select(conds, child)``           selection by a set of conditions
 ``Join(conds, left, right)``       conditions over the concatenated columns
 ``Union / Diff / Product``         set operations
+``AntiJoin(arity, conds, l, r)``   rows of ``l`` that join with no row of ``r``
 ``AdomK(level, extras)``           unary active-domain relation closed under
                                    ``level`` rounds of function application —
                                    used only by the [AB88] baseline translation
@@ -52,6 +53,7 @@ __all__ = [
     "Join",
     "Union",
     "Diff",
+    "AntiJoin",
     "Product",
     "AdomK",
     "Params",
@@ -291,6 +293,27 @@ class Diff(AlgebraExpr):
 
 
 @dataclass(frozen=True, slots=True)
+class AntiJoin(AlgebraExpr):
+    """The generalized difference of T15: the rows of ``left`` that no
+    row of ``right`` joins with under ``conds``, i.e.
+    ``left - project([@1..@arity], join(conds, left, right))``.
+
+    Conditions refer to the concatenated coordinates, as in
+    :class:`Join`.  ``arity`` is the left input's arity, stored so the
+    paper-style rendering needs no catalog.
+    """
+
+    arity: int
+    conds: frozenset[Condition]
+    left: AlgebraExpr
+    right: AlgebraExpr
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.conds, frozenset):
+            object.__setattr__(self, "conds", frozenset(self.conds))
+
+
+@dataclass(frozen=True, slots=True)
 class Product(AlgebraExpr):
     left: AlgebraExpr
     right: AlgebraExpr
@@ -369,7 +392,7 @@ def walk_algebra(expr: AlgebraExpr) -> Iterator[AlgebraExpr]:
         yield current
         if isinstance(current, (Project, Select, Enumerate)):
             stack.append(current.child)
-        elif isinstance(current, (Join, Union, Diff, Product)):
+        elif isinstance(current, (Join, AntiJoin, Union, Diff, Product)):
             stack.append(current.right)
             stack.append(current.left)
 
@@ -389,7 +412,7 @@ def algebra_function_names(expr: AlgebraExpr) -> frozenset[str]:
         elif isinstance(node, Enumerate):
             for e in node.inputs:
                 out |= _colexpr_functions(e)
-        elif isinstance(node, (Select, Join)):
+        elif isinstance(node, (Select, Join, AntiJoin)):
             for cond in node.conds:
                 out |= _colexpr_functions(cond.left)
                 out |= _colexpr_functions(cond.right)
@@ -440,15 +463,19 @@ def arity_of(expr: AlgebraExpr, catalog: Mapping[str, int]) -> int:
                     f"selection refers to @{bad[0]} but child arity is {child}"
                 )
         return child
-    if isinstance(expr, Join):
-        total = arity_of(expr.left, catalog) + arity_of(expr.right, catalog)
+    if isinstance(expr, (Join, AntiJoin)):
+        left = arity_of(expr.left, catalog)
+        total = left + arity_of(expr.right, catalog)
         for cond in expr.conds:
             bad = [i for i in cond.columns() if i > total]
             if bad:
                 raise EvaluationError(
                     f"join condition refers to @{bad[0]} but joined arity is {total}"
                 )
-        return total
+        if isinstance(expr, AntiJoin) and expr.arity != left:
+            raise EvaluationError(
+                f"anti-join declares arity {expr.arity}, its left input has {left}")
+        return total if isinstance(expr, Join) else left
     if isinstance(expr, (Union, Diff)):
         left = arity_of(expr.left, catalog)
         right = arity_of(expr.right, catalog)

@@ -20,6 +20,7 @@ from typing import Hashable
 
 from repro.algebra.ast import (
     AdomK,
+    AntiJoin,
     Enumerate,
     Params,
     compare_values,
@@ -123,8 +124,8 @@ def evaluate(expr: AlgebraExpr, instance: Instance,
         if isinstance(node, AdomK):
             if schema is None:
                 raise EvaluationError("AdomK requires a schema to close under functions")
-            base = set(instance.active_domain()) | set(node.extras)
-            closed = term_closure(base, node.level, interpretation, schema)
+            domain = set(instance.active_domain()) | set(node.extras)
+            closed = term_closure(domain, node.level, interpretation, schema)
             return record("adom", Relation.from_values(closed))
         if isinstance(node, Project):
             child = go(node.child)
@@ -171,6 +172,12 @@ def evaluate(expr: AlgebraExpr, instance: Instance,
         if isinstance(node, Diff):
             out = go(node.left).difference(go(node.right))
             return record("diff", out)
+        if isinstance(node, AntiJoin):
+            # by definition, evaluating (and counting) the left input
+            # twice, as the difference T15 writes does
+            identity = tuple(Col(i) for i in range(1, node.arity + 1))
+            return base(Diff(node.left, Project(identity, Join(
+                node.conds, node.left, node.right))))
         if isinstance(node, Product):
             out = go(node.left).product(go(node.right))
             return record("product", out)

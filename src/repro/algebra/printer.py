@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.algebra.ast import (
     AdomK,
     AlgebraExpr,
+    AntiJoin,
     Enumerate,
     Params,
     Diff,
@@ -65,6 +66,13 @@ def to_algebra_text(expr: AlgebraExpr) -> str:
         return f"({to_algebra_text(expr.left)} + {to_algebra_text(expr.right)})"
     if isinstance(expr, Diff):
         return f"({to_algebra_text(expr.left)} - {to_algebra_text(expr.right)})"
+    if isinstance(expr, AntiJoin):
+        # T15's generalized difference, spelled out as in the paper
+        left = to_algebra_text(expr.left)
+        identity = ",".join(f"@{i}" for i in range(1, expr.arity + 1))
+        return (f"({left} - project([{identity}], join("
+                f"{_conds_text(expr.conds)}, {left}, "
+                f"{to_algebra_text(expr.right)})))")
     if isinstance(expr, Product):
         return f"({to_algebra_text(expr.left)} x {to_algebra_text(expr.right)})"
     raise TypeError(f"not an algebra expression: {expr!r}")
@@ -90,8 +98,8 @@ def explain(expr: AlgebraExpr, indent: int = 0) -> str:
         return f"{pad}Project [{exprs}]\n" + explain(expr.child, indent + 1)
     if isinstance(expr, Select):
         return f"{pad}Select {_conds_text(expr.conds)}\n" + explain(expr.child, indent + 1)
-    if isinstance(expr, Join):
-        return (f"{pad}Join {_conds_text(expr.conds)}\n"
+    if isinstance(expr, (Join, AntiJoin)):
+        return (f"{pad}{type(expr).__name__} {_conds_text(expr.conds)}\n"
                 + explain(expr.left, indent + 1) + "\n"
                 + explain(expr.right, indent + 1))
     for cls, label in ((Union, "Union"), (Diff, "Diff"), (Product, "Product")):

@@ -8,7 +8,10 @@ paper's hand-written ones:
 * cascade projections (``project(A, project(B, e))`` composes);
 * merge cascading selections;
 * turn a selection over a product into a join;
-* drop identity projections and empty selection sets.
+* drop identity projections and empty selection sets;
+* turn T15's generalized difference ``e - project([@1..@n],
+  join(c, e, X))`` into ``AntiJoin(n, c, e, X)``, the only place the
+  anti-join node is created.
 
 Every rewrite preserves the evaluated relation exactly (tested against
 the reference evaluator on random instances).
@@ -20,6 +23,7 @@ from typing import Mapping
 
 from repro.algebra.ast import (
     AlgebraExpr,
+    AntiJoin,
     Enumerate,
     CApp,
     CConst,
@@ -98,7 +102,19 @@ def _rewrite_once(expr: AlgebraExpr, catalog: Mapping[str, int]) -> AlgebraExpr:
     if isinstance(expr, Union):
         return Union(_rewrite_once(expr.left, catalog), _rewrite_once(expr.right, catalog))
     if isinstance(expr, Diff):
-        return Diff(_rewrite_once(expr.left, catalog), _rewrite_once(expr.right, catalog))
+        left = _rewrite_once(expr.left, catalog)
+        right = _rewrite_once(expr.right, catalog)
+        if (isinstance(right, Project) and isinstance(right.child, Join)
+                and right.child.left == left
+                and right.exprs == tuple(Col(i) for i in
+                                         range(1, len(right.exprs) + 1))):
+            return AntiJoin(len(right.exprs), right.child.conds, left,
+                            right.child.right)
+        return Diff(left, right)
+    if isinstance(expr, AntiJoin):
+        return AntiJoin(expr.arity, expr.conds,
+                        _rewrite_once(expr.left, catalog),
+                        _rewrite_once(expr.right, catalog))
     if isinstance(expr, Enumerate):
         return Enumerate(expr.enumerator, expr.inputs,
                          expr.out_count, _rewrite_once(expr.child, catalog))

@@ -42,6 +42,7 @@ from typing import Callable, Iterable
 
 from repro.algebra.ast import (
     AlgebraExpr,
+    AntiJoin,
     CConst,
     Col,
     ColExpr,
@@ -107,11 +108,8 @@ def _workload_plans() -> list[AlgebraExpr]:
     repeated = Union(
         Join(frozenset({eq(1, 3)}), Rel("R"), Rel("S")),
         Join(frozenset({eq(1, 3)}), Rel("R"), Rel("S")))
-    anti_empty = Diff(
-        Rel("R"),
-        Project((Col(1), Col(2)),
-                Join(frozenset({eq(1, 3)}), Rel("R"),
-                     Lit(2, frozenset()))))
+    anti_empty = AntiJoin(2, frozenset({eq(1, 3)}), Rel("R"),
+                          Lit(2, frozenset()))
     return [join_chain, tautology, empty_join, select_union, repeated,
             anti_empty]
 
@@ -159,6 +157,8 @@ def _replace_first(node: AlgebraExpr,
         if isinstance(n, Diff):
             left = go(n.left)
             return Diff(left, go(n.right))
+        if isinstance(n, AntiJoin):
+            return AntiJoin(n.arity, n.conds, go(n.left), go(n.right))
         return n
 
     result = go(node)

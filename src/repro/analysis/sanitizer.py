@@ -11,7 +11,7 @@ the dependent checks") and collects all of them:
 code     finding
 =======  ==========================================================
 PL001    projection expression refers to an out-of-range column
-PL002    union/difference of mismatched arities
+PL002    union/difference/anti-join of mismatched arities
 PL003    selection/join condition refers to a missing column
 PL004    unknown relation name in the plan
 PL005    enumerate input refers to an out-of-range column
@@ -34,6 +34,7 @@ from typing import Mapping
 from repro.algebra.ast import (
     AdomK,
     AlgebraExpr,
+    AntiJoin,
     Diff,
     Enumerate,
     Join,
@@ -146,7 +147,7 @@ def _infer(expr: AlgebraExpr, catalog: Mapping[str, int],
                     path, expr,
                     suggestion=f"valid columns are @1..@{child}"))
         return child
-    if isinstance(expr, Join):
+    if isinstance(expr, (Join, AntiJoin)):
         left = _infer(expr.left, catalog, out, f"{path}.left")
         right = _infer(expr.right, catalog, out, f"{path}.right")
         if left is None or right is None:
@@ -161,7 +162,12 @@ def _infer(expr: AlgebraExpr, catalog: Mapping[str, int],
                     f"arity is {total}",
                     path, expr,
                     suggestion=f"valid columns are @1..@{total}"))
-        return total
+        if isinstance(expr, AntiJoin) and expr.arity != left:
+            out.append(_diag("PL002", f"anti-join declares arity "
+                             f"{expr.arity}, its left input has {left}",
+                             path, expr))
+            return None
+        return total if isinstance(expr, Join) else left
     if isinstance(expr, (Union, Diff)):
         op = "union" if isinstance(expr, Union) else "difference"
         left = _infer(expr.left, catalog, out, f"{path}.left")

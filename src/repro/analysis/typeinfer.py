@@ -27,7 +27,10 @@ carrying, per output column, a :class:`ColumnFact` lattice element:
 
 Key facts (distinctness) ride along per node: a key is a column set
 whose values determine the whole row; the full column set is always a
-key under set semantics and is kept implicit.
+key under set semantics and is kept implicit.  So do classes of
+columns known to hold equal values in every row (from ``@i = @j``
+conditions), which narrow together: a fact learnt about one member
+holds for all, wherever in the plan the equality was applied.
 
 Inference never raises on type problems — it *records* them as
 :class:`~repro.analysis.diagnostics.Diagnostic` values with stable
@@ -53,12 +56,14 @@ pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Hashable, Iterable, Mapping
 
 from repro.algebra.ast import (
     AdomK,
     AlgebraExpr,
+    AntiJoin,
     CApp,
     CConst,
     Col,
@@ -197,11 +202,13 @@ class FinitenessCertificate:
 class NodeFacts:
     """The inferred facts of one plan node: per-column lattice elements
     plus the node's non-trivial keys (the full column set is always a
-    key under set semantics and stays implicit)."""
+    key under set semantics and stays implicit) and its classes of
+    columns equal in every row (singletons stay implicit)."""
 
     arity: int
     columns: tuple[ColumnFact, ...]
     keys: frozenset[frozenset[int]] = frozenset()
+    equal: frozenset[frozenset[int]] = frozenset()
 
     @property
     def max_depth(self) -> int:
@@ -266,6 +273,22 @@ def refinement_violations(after: NodeFacts, before: NodeFacts) -> list[str]:
             problems.append(
                 f"column @{i} lost constant value {b.const!r}")
     return problems
+
+
+def _merge_classes(classes: Iterable[frozenset[int]],
+                   conds: Iterable[Condition]) -> frozenset[frozenset[int]]:
+    """``classes`` with every ``@i = @j`` condition's two columns merged
+    into one class."""
+    merged = [set(c) for c in classes]
+    for cond in conds:
+        if not (cond.op == "=" and isinstance(cond.left, Col)
+                and isinstance(cond.right, Col)):
+            continue
+        pair = {cond.left.index, cond.right.index}
+        touching = [c for c in merged if c & pair]
+        merged = [c for c in merged if not c & pair]
+        merged.append(pair.union(*touching))
+    return frozenset(frozenset(c) for c in merged if len(c) > 1)
 
 
 def _minimize_keys(keys: Iterable[frozenset[int]],
@@ -360,10 +383,45 @@ class _Inferencer:
     # -- condition narrowing ------------------------------------------------
 
     def narrow(self, columns: tuple[ColumnFact, ...],
-               conds: Iterable[Condition],
-               keys: frozenset) -> tuple[tuple[ColumnFact, ...], frozenset]:
-        """Facts of the rows *surviving* ``conds`` over ``columns``."""
+               conds: frozenset[Condition], keys: frozenset,
+               equal: frozenset[frozenset[int]] = frozenset(),
+               ) -> tuple[tuple[ColumnFact, ...], frozenset,
+                          frozenset[frozenset[int]]]:
+        """Facts, keys and equal-column classes of the rows *surviving*
+        ``conds`` over ``columns`` (whose classes are ``equal``)."""
+        equal = _merge_classes(equal, conds)
         cols = list(columns)
+        previous: list[ColumnFact] | None = None
+        while previous != cols:
+            previous = list(cols)
+            self._narrow_once(cols, conds)
+            self._narrow_classes(cols, equal)
+        # const-pinned columns are redundant in keys
+        pinned = frozenset(
+            i + 1 for i, c in enumerate(cols) if c.is_const)
+        if pinned:
+            keys = frozenset(k - pinned for k in keys) | keys
+        return tuple(cols), _minimize_keys(keys, len(cols)), equal
+
+    def _narrow_classes(self, cols: list[ColumnFact],
+                        equal: frozenset[frozenset[int]]) -> None:
+        """Give every member of a class the meet of the members' types
+        and any constant one of them is pinned to; two different
+        constants leave the class empty (``never``)."""
+        for members in equal:
+            facts = [cols[i - 1] for i in members]
+            vtype = reduce(meet_types, (f.vtype for f in facts), TYPE_ANY)
+            pinned = [f.const for f in facts if f.is_const]
+            if any(c != pinned[0] for c in pinned):
+                vtype = TYPE_NEVER
+            for i in members:
+                fact = self._with_type(cols[i - 1], vtype)
+                if pinned and vtype != TYPE_NEVER and not fact.is_const:
+                    fact = replace(fact, const=pinned[0], is_const=True)
+                cols[i - 1] = fact
+
+    def _narrow_once(self, cols: list[ColumnFact],
+                     conds: frozenset[Condition]) -> None:
         for cond in conds:
             lf = self.expr_fact(cond.left, tuple(cols))
             rf = self.expr_fact(cond.right, tuple(cols))
@@ -412,6 +470,9 @@ class _Inferencer:
                             idx = col_op.index - 1
                             met = meet_types(cols[idx].vtype,
                                              other_fact.vtype)
+                            if (other_fact.is_const and cols[idx].is_const
+                                    and cols[idx].const != other_fact.const):
+                                met = TYPE_NEVER  # pinned to two values
                             narrowed = self._with_type(cols[idx], met)
                             if (other_fact.is_const
                                     and not narrowed.is_const
@@ -422,12 +483,6 @@ class _Inferencer:
                                     const=other_fact.const, is_const=True,
                                     sources=narrowed.sources)
                             cols[idx] = narrowed
-        # const-pinned columns are redundant in keys
-        pinned = frozenset(
-            i + 1 for i, c in enumerate(cols) if c.is_const)
-        if pinned:
-            keys = frozenset(k - pinned for k in keys) | keys
-        return tuple(cols), _minimize_keys(keys, len(cols))
 
     @staticmethod
     def _with_type(fact: ColumnFact, vtype: str) -> ColumnFact:
@@ -475,8 +530,9 @@ class _Inferencer:
             return NodeFacts(1, (fact,))
         if isinstance(node, Select):
             child = self.infer(node.child)
-            cols, keys = self.narrow(child.columns, node.conds, child.keys)
-            return NodeFacts(child.arity, cols, keys)
+            cols, keys, equal = self.narrow(child.columns, node.conds,
+                                            child.keys, child.equal)
+            return NodeFacts(child.arity, cols, keys, equal)
         if isinstance(node, Project):
             child = self.infer(node.child)
             cols = tuple(self.expr_fact(e, child.columns)
@@ -490,26 +546,46 @@ class _Inferencer:
             for k in child.keys:
                 if all(i in position for i in k):
                     keys.add(frozenset(position[i] for i in k))
+            # outputs that are bare copies of one class are equal
+            class_of = {i: min(c) for c in child.equal for i in c}
+            copies: dict[int, set[int]] = {}
+            for out, e in enumerate(node.exprs, start=1):
+                if isinstance(e, Col):
+                    copies.setdefault(class_of.get(e.index, e.index),
+                                      set()).add(out)
+            equal = frozenset(frozenset(c) for c in copies.values()
+                              if len(c) > 1)
             return NodeFacts(len(node.exprs), cols,
-                             _minimize_keys(keys, len(node.exprs)))
+                             _minimize_keys(keys, len(node.exprs)), equal)
         if isinstance(node, (Join, Product)):
             left = self.infer(node.left)
             right = self.infer(node.right)
             cols = left.columns + right.columns
             keys = self._compose_keys(left, right)
+            equal = left.equal | frozenset(
+                frozenset(i + left.arity for i in c) for c in right.equal)
             if isinstance(node, Join):
-                cols, keys = self.narrow(cols, node.conds, keys)
-            return NodeFacts(left.arity + right.arity, cols, keys)
+                cols, keys, equal = self.narrow(cols, node.conds, keys,
+                                                equal)
+            return NodeFacts(left.arity + right.arity, cols, keys, equal)
         if isinstance(node, Union):
             left = self.infer(node.left)
             right = self.infer(node.right)
             cols = tuple(a.merge(b)
                          for a, b in zip(left.columns, right.columns))
-            return NodeFacts(left.arity, cols)
-        if isinstance(node, Diff):
+            # columns equal on both sides
+            equal = frozenset(a & b for a in left.equal for b in right.equal
+                              if len(a & b) > 1)
+            return NodeFacts(left.arity, cols, equal=equal)
+        if isinstance(node, (Diff, AntiJoin)):
             left = self.infer(node.left)
-            self.infer(node.right)
-            return NodeFacts(left.arity, left.columns, left.keys)
+            right = self.infer(node.right)
+            if isinstance(node, AntiJoin):
+                # conditions hold over joined rows: narrowing them reports
+                # their diagnostics; the survivors are left rows
+                self.narrow(left.columns + right.columns, node.conds,
+                            frozenset())
+            return left
         if isinstance(node, Enumerate):
             child = self.infer(node.child)
             input_facts = [self.expr_fact(e, child.columns)
@@ -521,7 +597,7 @@ class _Inferencer:
             out = tuple(ColumnFact(depth=depth, sources=sources)
                         for _ in range(node.out_count))
             return NodeFacts(child.arity + node.out_count,
-                             child.columns + out)
+                             child.columns + out, equal=child.equal)
         raise TypeError(f"not an algebra node: {node!r}")
 
     def _infer_lit(self, node: Lit) -> NodeFacts:
@@ -632,8 +708,9 @@ def _node_label(node: AlgebraExpr) -> str:
         return f"select [{', '.join(sorted(str(c) for c in node.conds))}]"
     if isinstance(node, Project):
         return f"project [{', '.join(str(e) for e in node.exprs)}]"
-    if isinstance(node, Join):
-        return f"join [{', '.join(sorted(str(c) for c in node.conds))}]"
+    if isinstance(node, (Join, AntiJoin)):
+        label = "join" if isinstance(node, Join) else "anti-join"
+        return f"{label} [{', '.join(sorted(str(c) for c in node.conds))}]"
     if isinstance(node, Product):
         return "product"
     if isinstance(node, Union):
@@ -658,7 +735,7 @@ def render_typed_plan(plan: AlgebraExpr, types: PlanTypes) -> str:
         children: tuple[AlgebraExpr, ...] = ()
         if isinstance(node, (Select, Project, Enumerate)):
             children = (node.child,)
-        elif isinstance(node, (Join, Product, Union, Diff)):
+        elif isinstance(node, (Join, AntiJoin, Product, Union, Diff)):
             children = (node.left, node.right)
         for i, child in enumerate(children):
             last = i == len(children) - 1

@@ -29,9 +29,8 @@ TV010  info      bijection search budget exceeded; step accepted
 :func:`check_rewrites` raises
 :class:`~repro.errors.RewriteValidationError` when any has error
 severity.  The checkers are deliberately *independent*
-re-derivations of each rule's specification — they share only the
-anti-join pattern matcher with the optimizer, never the rewrite code
-they are judging.
+re-derivations of each rule's specification — they share no code with
+the rewrites they are judging.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
 
 from repro.algebra.ast import (
     AlgebraExpr,
+    AntiJoin,
     CApp,
     CConst,
     Col,
@@ -69,23 +69,9 @@ from repro.errors import EvaluationError, RewriteValidationError
 
 if TYPE_CHECKING:
     # Runtime import would close the repro.engine <-> repro.analysis
-    # cycle (see _anti_join_helpers); annotations are strings here.
+    # cycle (the rewrite pass imports this module); annotations are
+    # strings here.
     from repro.engine.rewrite import RewriteStep
-
-#: Shapes of the two lazily-imported anti-join helpers (see
-#: :func:`_anti_join_helpers`).
-_MatchAntiJoin = Callable[..., object]
-_RebuildAntiJoin = Callable[..., object]
-
-
-def _anti_join_helpers() -> "tuple[_MatchAntiJoin, _RebuildAntiJoin]":
-    """The only optimizer code the validator shares: the anti-join
-    structural pattern (see :mod:`repro.engine.optimizer`).  Imported
-    lazily because ``repro.engine`` eagerly imports the rewrite pass,
-    which imports this module back — a top-level import here would
-    close that cycle."""
-    from repro.engine.optimizer import match_anti_join, rebuild_anti_join
-    return match_anti_join, rebuild_anti_join
 
 __all__ = [
     "check_rewrites",
@@ -183,15 +169,13 @@ def _check_fold_empty(before: AlgebraExpr, after: AlgebraExpr,
         if _is_empty(before.right) and after == before.left:
             return None
         return "union fold does not return the non-empty side"
+    if isinstance(before, AntiJoin):
+        if after == before.left and (_is_empty(before.left)
+                                     or _is_empty(before.right)
+                                     or _statically_false(before.conds)):
+            return None
+        return "anti-join fold keeps the wrong side"
     if isinstance(before, Diff):
-        match_anti_join, _ = _anti_join_helpers()
-        anti = match_anti_join(before)
-        if anti is not None:
-            conds, context, excluded = anti
-            if after == context and (_is_empty(excluded)
-                                     or _statically_false(conds)
-                                     or _is_empty(context)):
-                return None
         if _is_empty(before.right) and after == before.left:
             return None
         if _is_empty(before.left) and after == before.left:
@@ -217,17 +201,13 @@ def _check_select_pushdown(before: AlgebraExpr, after: AlgebraExpr,
             return (None if after == want
                     else "selection did not distribute over both union "
                          "branches")
+        if isinstance(child, AntiJoin):
+            want_anti = AntiJoin(child.arity, child.conds,
+                                 Select(conds, child.left), child.right)
+            return (None if after == want_anti
+                    else "selection did not land on the anti-join "
+                         "context")
         if isinstance(child, Diff):
-            match_anti_join, rebuild_anti_join = _anti_join_helpers()
-            anti = match_anti_join(child)
-            if anti is not None:
-                aconds, context, excluded = anti
-                want = rebuild_anti_join(aconds, Select(conds, context),
-                                         excluded,
-                                         arity_of(context, catalog))
-                return (None if after == want
-                        else "selection did not land on the anti-join "
-                             "context")
             want = Diff(Select(conds, child.left), child.right)
             return (None if after == want
                     else "selection must move to the difference's left "

@@ -81,7 +81,6 @@ from repro.safety import (
     range_restricted,
     safe_top91,
 )
-from repro.semantics.eval_calculus import query_schema
 from repro.translate.pipeline import translate_query
 
 __all__ = ["main", "DATA_ERROR_EXIT"]

@@ -41,7 +41,7 @@ from repro.engine.operators import (
     ProfiledOp,
     default_batch_size,
 )
-from repro.engine.optimizer import choose_build_sides, match_anti_join
+from repro.engine.optimizer import choose_build_sides
 from repro.engine.planner import build_physical_plan
 from repro.engine.rewrite import (
     OptimizationResult,
@@ -67,7 +67,6 @@ __all__ = [
     "build_physical_plan", "plan_catalog",
     "collect_stats", "TableStats", "InstanceStats",
     "estimate_cardinality", "choose_build_sides", "ENUMERATE_FANOUT",
-    "match_anti_join",
     "optimize_plan", "optimize_enabled", "OptimizationResult",
     "RewriteStep", "shared_subplans",
     "stats_for", "closure_for", "clear_engine_caches", "engine_cache_info",

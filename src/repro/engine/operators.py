@@ -764,8 +764,9 @@ class AntiJoinOp(PhysicalOp):
 
     The translator's generalized difference (T15) emits
     ``ctx - project(join(ctx, X))``, which evaluates ``ctx`` twice; the
-    planner recognizes the pattern and runs this operator instead,
-    evaluating ``ctx`` once.  Equi-conditions build a hash table on the
+    simplifier turns it into an :class:`~repro.algebra.ast.AntiJoin`
+    node, which the planner runs as this operator, evaluating ``ctx``
+    once.  Equi-conditions build a hash table on the
     right; residual conditions are checked per candidate, short-
     circuiting at the first match (each candidate examined counts one
     comparison).

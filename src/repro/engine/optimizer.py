@@ -14,15 +14,6 @@ projection restoring the original order — downstream operators (and the
 final head projection) are untouched, which keeps the rewrite purely
 local and easy to verify: the optimized plan must evaluate to exactly
 the same relation (property-tested).
-
-This module also owns :func:`match_anti_join`, the structural pattern
-behind the planner's generalized-difference operator.  Both the planner
-and every rewrite that walks through ``Diff`` nodes must agree on the
-pattern: a rewrite that changes only *one* of the two occurrences of
-the context subplan breaks the structural equality the planner checks,
-silently downgrading an anti-join to a diff-over-join.  The build-side
-pass therefore rebuilds matched patterns from one rewritten context
-rather than recursing into the two occurrences independently.
 """
 
 from __future__ import annotations
@@ -31,6 +22,7 @@ from typing import Mapping
 
 from repro.algebra.ast import (
     AlgebraExpr,
+    AntiJoin,
     CApp,
     CConst,
     Col,
@@ -47,36 +39,7 @@ from repro.algebra.ast import (
 )
 from repro.engine.stats import InstanceStats, estimate_cardinality
 
-__all__ = ["choose_build_sides", "match_anti_join"]
-
-
-def match_anti_join(node: Diff):
-    """Detect the translator's generalized-difference shape
-    ``Diff(e, Project(identity-over-e, Join(conds, e, X)))`` and return
-    ``(conds, e, X)``, or None."""
-    right = node.right
-    if not isinstance(right, Project):
-        return None
-    join = right.child
-    if not isinstance(join, Join) or join.left != node.left:
-        return None
-    identity = all(
-        isinstance(e, Col) and e.index == i + 1
-        for i, e in enumerate(right.exprs)
-    )
-    if not identity:
-        return None
-    # the projection must keep exactly the left columns; conditions may
-    # reference both sides (they are evaluated over the joined row)
-    return join.conds, node.left, join.right
-
-
-def rebuild_anti_join(conds, context: AlgebraExpr, excluded: AlgebraExpr,
-                      context_arity: int) -> Diff:
-    """The inverse of :func:`match_anti_join`: the canonical
-    generalized-difference shape over (possibly rewritten) children."""
-    identity = tuple(Col(i) for i in range(1, context_arity + 1))
-    return Diff(context, Project(identity, Join(conds, context, excluded)))
+__all__ = ["choose_build_sides"]
 
 
 def _shift_colexpr(expr: ColExpr, mapping) -> ColExpr:
@@ -133,19 +96,11 @@ def choose_build_sides(expr: AlgebraExpr, stats: InstanceStats,
                              go(node.child))
         if isinstance(node, Union):
             return Union(go(node.left), go(node.right))
+        if isinstance(node, AntiJoin):
+            # probes left and builds on the right already: no swap
+            return AntiJoin(node.arity, node.conds, go(node.left),
+                            go(node.right))
         if isinstance(node, Diff):
-            anti = match_anti_join(node)
-            if anti is not None:
-                # The anti-join probes left and builds on the right
-                # already; swapping its inner join would break the
-                # structural pattern the planner matches.  Tune the two
-                # children and rebuild the canonical shape from ONE
-                # rewritten context so the pattern still matches.
-                conds, context, excluded = anti
-                new_context = go(context)
-                new_excluded = go(excluded)
-                return rebuild_anti_join(conds, new_context, new_excluded,
-                                         arity_of(new_context, catalog))
             return Diff(go(node.left), go(node.right))
         if isinstance(node, Product):
             return Product(go(node.left), go(node.right))

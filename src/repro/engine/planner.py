@@ -32,6 +32,7 @@ from repro.algebra.ast import (
     Enumerate,
     Params,
     AlgebraExpr,
+    AntiJoin,
     Col,
     Condition,
     Diff,
@@ -67,7 +68,6 @@ from repro.engine.operators import (
 )
 from repro.engine.batches import resolve_batch_repr
 from repro.engine.operators import default_batch_size
-from repro.engine.optimizer import match_anti_join
 from repro.errors import EvaluationError
 from repro.obs.profile import ExecutionProfile, algebra_label
 
@@ -227,16 +227,13 @@ def build_physical_plan(expr: AlgebraExpr, instance: Instance,
         if isinstance(node, Union):
             left, right = go(node.left), go(node.right)
             return wrap(UnionOp(left, right), "union", node, left, right)
+        if isinstance(node, AntiJoin):
+            left, right = go(node.left), go(node.right)
+            pairs, residual = _split_join_conditions(node.conds, left.arity)
+            return wrap(AntiJoinOp(pairs, residual, left, right,
+                                   interpretation),
+                        "anti-join", node, left, right)
         if isinstance(node, Diff):
-            anti = match_anti_join(node)
-            if anti is not None:
-                join_conds, left_expr, right_expr = anti
-                left = go(left_expr)
-                right = go(right_expr)
-                pairs, residual = _split_join_conditions(join_conds, left.arity)
-                return wrap(AntiJoinOp(pairs, residual, left, right,
-                                       interpretation),
-                            "anti-join", node, left, right)
             left, right = go(node.left), go(node.right)
             return wrap(DiffOp(left, right), "diff", node, left, right)
         raise TypeError(f"not an algebra expression: {node!r}")

@@ -13,9 +13,9 @@ applies four families of semantics-preserving rewrites:
    that annihilate on them.
 2. **Selection / projection pushdown** — single-side join conditions
    move below the join, selections distribute through unions and into
-   difference and :class:`~repro.algebra.ast.Enumerate` inputs, and
-   dead columns are pruned below joins and products so intermediate
-   tuples stay narrow.
+   difference, anti-join and :class:`~repro.algebra.ast.Enumerate`
+   inputs, and dead columns are pruned below joins and products so
+   intermediate tuples stay narrow.
 3. **Greedy join reordering** — maximal Join/Product regions are
    flattened into (leaves, conditions), then rebuilt left-deep starting
    from the estimated-smallest leaf, preferring connected (condition-
@@ -31,12 +31,7 @@ applies four families of semantics-preserving rewrites:
 
 Finally the (previously free-standing) build-side chooser
 (:func:`repro.engine.optimizer.choose_build_sides`) runs over the
-result.  Every rewrite here must preserve the anti-join pattern
-(:func:`repro.engine.optimizer.match_anti_join`): walking through a
-matched ``Diff`` rebuilds the canonical shape from **one** rewritten
-context, because rewriting the two structurally equal occurrences
-independently would silently downgrade the planner's anti-join to a
-diff-over-join.
+result.
 
 The pass is on by default; ``REPRO_OPTIMIZE=0`` (or
 ``--no-optimize``) disables it entirely, restoring the exact plans the
@@ -53,6 +48,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from repro.algebra.ast import (
     AdomK,
     AlgebraExpr,
+    AntiJoin,
     CConst,
     Col,
     ColExpr,
@@ -73,12 +69,7 @@ from repro.algebra.simplifier import simplify
 from repro.analysis.sanitizer import check_plan, verify_plans_enabled
 from repro.analysis.validate import check_rewrites
 from repro.core.schema import DatabaseSchema
-from repro.engine.optimizer import (
-    _shift_colexpr,
-    choose_build_sides,
-    match_anti_join,
-    rebuild_anti_join,
-)
+from repro.engine.optimizer import _shift_colexpr, choose_build_sides
 from repro.engine.stats import InstanceStats, estimate_cardinality
 from repro.errors import EvaluationError
 
@@ -228,24 +219,18 @@ def _fold_constants(expr: AlgebraExpr, catalog: Mapping[str, int],
                 return empty_step("union with an empty input",
                                   Union(left, right), left)
             return Union(left, right)
+        if isinstance(node, AntiJoin):
+            left, right = go(node.left), go(node.right)
+            redex = AntiJoin(node.arity, node.conds, left, right)
+            if _is_empty(left):
+                return empty_step("anti-join over empty context",
+                                  redex, left)
+            conds, false = _fold_conds(node.conds, steps)
+            if false or _is_empty(right):
+                # nothing can ever match: the difference keeps all
+                return empty_step("anti-join excludes nothing", redex, left)
+            return AntiJoin(node.arity, conds, left, right)
         if isinstance(node, Diff):
-            anti = match_anti_join(node)
-            if anti is not None:
-                conds0, context, excluded = anti
-                new_context = go(context)
-                new_excluded = go(excluded)
-                redex = rebuild_anti_join(conds0, new_context, new_excluded,
-                                          arity_of(new_context, catalog))
-                if _is_empty(new_context):
-                    return empty_step("anti-join over empty context",
-                                      redex, new_context)
-                conds, false = _fold_conds(conds0, steps)
-                if false or _is_empty(new_excluded):
-                    # nothing can ever match: the difference keeps all
-                    return empty_step("anti-join excludes nothing",
-                                      redex, new_context)
-                return rebuild_anti_join(conds, new_context, new_excluded,
-                                         arity_of(new_context, catalog))
             left, right = go(node.left), go(node.right)
             if _is_empty(left) or _is_empty(right):
                 if _is_empty(right):
@@ -341,17 +326,14 @@ def _pushdown(expr: AlgebraExpr, catalog: Mapping[str, int],
                     "pushdown-select", "selection through union",
                     before=redex, after=result))
                 return result
+            if isinstance(child, AntiJoin):
+                result = AntiJoin(child.arity, child.conds,
+                                  Select(node.conds, child.left), child.right)
+                steps.append(RewriteStep(
+                    "pushdown-select", "selection into anti-join input",
+                    before=redex, after=result))
+                return result
             if isinstance(child, Diff):
-                anti = match_anti_join(child)
-                if anti is not None:
-                    conds, context, excluded = anti
-                    result = rebuild_anti_join(
-                        conds, Select(node.conds, context), excluded,
-                        arity_of(context, catalog))
-                    steps.append(RewriteStep(
-                        "pushdown-select", "selection into anti-join input",
-                        before=redex, after=result))
-                    return result
                 result = Diff(Select(node.conds, child.left), child.right)
                 steps.append(RewriteStep(
                     "pushdown-select", "selection into difference input",
@@ -423,13 +405,10 @@ def _pushdown(expr: AlgebraExpr, catalog: Mapping[str, int],
                              go(node.child))
         if isinstance(node, Union):
             return Union(go(node.left), go(node.right))
+        if isinstance(node, AntiJoin):
+            return AntiJoin(node.arity, node.conds, go(node.left),
+                            go(node.right))
         if isinstance(node, Diff):
-            anti = match_anti_join(node)
-            if anti is not None:
-                conds, context, excluded = anti
-                new_context = go(context)
-                return rebuild_anti_join(conds, new_context, go(excluded),
-                                         arity_of(new_context, catalog))
             return Diff(go(node.left), go(node.right))
         if isinstance(node, Product):
             return Product(go(node.left), go(node.right))
@@ -614,13 +593,10 @@ def _reorder_joins(expr: AlgebraExpr, stats: InstanceStats,
                              go(node.child))
         if isinstance(node, Union):
             return Union(go(node.left), go(node.right))
+        if isinstance(node, AntiJoin):
+            return AntiJoin(node.arity, node.conds, go(node.left),
+                            go(node.right))
         if isinstance(node, Diff):
-            anti = match_anti_join(node)
-            if anti is not None:
-                conds, context, excluded = anti
-                new_context = go(context)
-                return rebuild_anti_join(conds, new_context, go(excluded),
-                                         arity_of(new_context, catalog))
             return Diff(go(node.left), go(node.right))
         return node
 
@@ -635,17 +611,15 @@ def _cse_eligible(node: AlgebraExpr) -> bool:
     """Worth materializing when repeated: anything that does work.
     Scans (Rel/Lit/Params) are excluded — re-reading them is as cheap
     as re-reading a materialization."""
-    return isinstance(node, (AdomK, Project, Select, Join, Union, Diff,
-                             Product, Enumerate))
+    return isinstance(node, (AdomK, Project, Select, Join, AntiJoin, Union,
+                             Diff, Product, Enumerate))
 
 
 def shared_subplans(plan: AlgebraExpr) -> frozenset[AlgebraExpr]:
     """Structurally repeated subplans worth computing once.
 
     Occurrences *inside* an already-repeated subplan are not counted
-    again (the whole subplan is shared, so its parts come for free),
-    and the two structurally equal context occurrences of an anti-join
-    pattern count as one — the planner builds that operator once.
+    again (the whole subplan is shared, so its parts come for free).
     """
     counts: Counter = Counter()
 
@@ -654,16 +628,9 @@ def shared_subplans(plan: AlgebraExpr) -> frozenset[AlgebraExpr]:
             counts[node] += 1
             if counts[node] > 1:
                 return
-        if isinstance(node, Diff):
-            anti = match_anti_join(node)
-            if anti is not None:
-                _conds, context, excluded = anti
-                visit(context)
-                visit(excluded)
-                return
         if isinstance(node, (Project, Select, Enumerate)):
             visit(node.child)
-        elif isinstance(node, (Join, Union, Diff, Product)):
+        elif isinstance(node, (Join, AntiJoin, Union, Diff, Product)):
             visit(node.left)
             visit(node.right)
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.algebra.ast import (
     AdomK,
     AlgebraExpr,
+    AntiJoin,
     Col,
     Condition,
     Diff,
@@ -162,6 +163,10 @@ def estimate_cardinality(expr: AlgebraExpr, stats: InstanceStats) -> float:
             return go(node.left) + go(node.right)
         if isinstance(node, Diff):
             return max(go(node.left) - go(node.right) * 0.5, 0.0)
+        if isinstance(node, AntiJoin):
+            # as for the difference it stands for, left - (left join right)
+            joined = Join(node.conds, node.left, node.right)
+            return max(go(node.left) - go(joined) * 0.5, 0.0)
         if isinstance(node, Product):
             return go(node.left) * go(node.right)
         raise TypeError(f"not an algebra expression: {node!r}")
@@ -171,7 +176,7 @@ def estimate_cardinality(expr: AlgebraExpr, stats: InstanceStats) -> float:
             table = stats.table(node.name)
             if table is not None:
                 return table.distinct_at
-        if isinstance(node, (Select, Diff)):
+        if isinstance(node, (Select, Diff, AntiJoin)):
             # selections/differences keep a subset of the child's values;
             # the child's distinct counts are a (close) upper bound
             child = node.child if isinstance(node, Select) else node.left
@@ -226,7 +231,7 @@ def estimate_cardinality(expr: AlgebraExpr, stats: InstanceStats) -> float:
             if left is None or right is None:
                 return None
             return left + right
-        if isinstance(node, (Union, Diff)):
+        if isinstance(node, (Union, Diff, AntiJoin)):
             return _static_arity(node.left)
         return None
 

@@ -21,11 +21,12 @@ quality measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.algebra.ast import (
     AdomK,
     AlgebraExpr,
+    AntiJoin,
     Diff,
     Enumerate,
     Join,
@@ -55,8 +56,9 @@ def algebra_label(node: AlgebraExpr) -> tuple[str, str]:
         return "project", "[" + ", ".join(str(e) for e in node.exprs) + "]"
     if isinstance(node, Select):
         return "select", "{" + ", ".join(sorted(str(c) for c in node.conds)) + "}"
-    if isinstance(node, Join):
-        return "join", "{" + ", ".join(sorted(str(c) for c in node.conds)) + "}"
+    if isinstance(node, (Join, AntiJoin)):
+        label = "join" if isinstance(node, Join) else "anti-join"
+        return label, "{" + ", ".join(sorted(str(c) for c in node.conds)) + "}"
     if isinstance(node, Enumerate):
         inputs = ", ".join(str(e) for e in node.inputs)
         return "enumerate", f"{node.enumerator}({inputs})"

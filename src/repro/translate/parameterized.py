@@ -33,7 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.algebra.ast import AlgebraExpr, Diff, Join, Lit, Params, Product, Project, Select, Union
+from repro.algebra.ast import (AlgebraExpr, AntiJoin, Diff, Join, Lit, Params,
+                               Product, Project, Select, Union)
+from repro.algebra.simplifier import simplify
 from repro.core.formulas import Formula, free_variables
 from repro.core.parser import parse_formula
 from repro.core.queries import CalculusQuery
@@ -123,8 +125,7 @@ def parameterized_query(params: Iterable[str], head: Iterable[Term | str],
 def translate_parameterized(query: ParameterizedQuery,
                             schema: DatabaseSchema | None = None,
                             check_safety: bool = True,
-                            enable_t10: bool = True,
-                            simplify_plan: bool = True) -> TranslationResult:
+                            enable_t10: bool = True) -> TranslationResult:
     """Translate an em-allowed-for-params query.
 
     The emitted plan's columns are the parameter variables followed by
@@ -155,10 +156,8 @@ def translate_parameterized(query: ParameterizedQuery,
     trace.record("head-project", "algebra", "project parameters + head terms")
 
     resolved = query_schema(query.as_plain_query(), schema)
-    if simplify_plan:
-        from repro.algebra.simplifier import simplify
-        catalog = {decl.name: decl.arity for decl in resolved.relations}
-        plan = simplify(plan, catalog)
+    catalog = {decl.name: decl.arity for decl in resolved.relations}
+    plan = simplify(plan, catalog)
     return TranslationResult(plan=plan, enf=enf, trace=trace, schema=resolved)
 
 
@@ -180,6 +179,9 @@ def bind_parameters(plan: AlgebraExpr, rows: Iterable[tuple]) -> AlgebraExpr:
             return Union(go(node.left), go(node.right))
         if isinstance(node, Diff):
             return Diff(go(node.left), go(node.right))
+        if isinstance(node, AntiJoin):
+            return AntiJoin(node.arity, node.conds, go(node.left),
+                            go(node.right))
         if isinstance(node, Product):
             return Product(go(node.left), go(node.right))
         return node

@@ -72,7 +72,6 @@ def translate_query(query: CalculusQuery,
                     schema: DatabaseSchema | None = None,
                     check_safety: bool = True,
                     enable_t10: bool = True,
-                    simplify_plan: bool = True,
                     annotations=None,
                     tracer: SpanTracer | None = None,
                     verify_plans: bool | None = None,
@@ -155,22 +154,21 @@ def translate_query(query: CalculusQuery,
         if verify:
             check_plan(plan, catalog, phase="compile",
                        expected_arity=query.arity)
-        if simplify_plan:
-            with tracer.span("simplify") as simplify_span:
-                compiled_plan = plan
-                plan = simplify(plan, catalog, verify=verify)
-                if verify:
-                    check_plan(plan, catalog, phase="simplify",
-                               expected_arity=query.arity)
-                validate = (validate_rewrites if validate_rewrites is not None
-                            else verify)
-                if validate:
-                    # simplifier rewrites are not step-recorded, so the
-                    # validator discharges the phase-level obligations
-                    # only: arity, relation provenance, fact refinement.
-                    check_rewrites(compiled_plan, plan, steps=(), shared=(),
-                                   catalog=catalog, schema=resolved_schema,
-                                   phase="simplify")
-                if tracer.enabled:
-                    simplify_span.attrs["plan_ops"] = algebra_size(plan)
+        with tracer.span("simplify") as simplify_span:
+            compiled_plan = plan
+            plan = simplify(plan, catalog, verify=verify)
+            if verify:
+                check_plan(plan, catalog, phase="simplify",
+                           expected_arity=query.arity)
+            validate = (validate_rewrites if validate_rewrites is not None
+                        else verify)
+            if validate:
+                # simplifier rewrites are not step-recorded, so the
+                # validator discharges the phase-level obligations
+                # only: arity, relation provenance, fact refinement.
+                check_rewrites(compiled_plan, plan, steps=(), shared=(),
+                               catalog=catalog, schema=resolved_schema,
+                               phase="simplify")
+            if tracer.enabled:
+                simplify_span.attrs["plan_ops"] = algebra_size(plan)
     return TranslationResult(plan=plan, enf=enf, trace=trace, schema=resolved_schema)

@@ -173,7 +173,8 @@ def random_em_allowed_query(seed: int, max_head: int = 3,
         if not bounded:
             continue
         head = rng.sample(bounded, min(len(bounded), rng.randrange(1, max_head + 1)))
-        hidden = [v for v in free_variables(body) if v not in head]
+        # sorted: free_variables is a set, whose order follows hashing
+        hidden = sorted(v for v in free_variables(body) if v not in head)
         candidate_body = make_exists(hidden, body) if hidden else body
         try:
             candidate = CalculusQuery(tuple(Var(v) for v in head), candidate_body)

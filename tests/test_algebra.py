@@ -5,6 +5,7 @@ import pytest
 
 from repro.algebra.ast import (
     AdomK,
+    AntiJoin,
     CApp,
     CConst,
     Col,
@@ -22,7 +23,7 @@ from repro.algebra.ast import (
     arity_of,
     colexpr_columns,
 )
-from repro.algebra.evaluator import EvalStats, eval_colexpr, evaluate
+from repro.algebra.evaluator import EvalStats, evaluate
 from repro.algebra.printer import explain, to_algebra_text
 from repro.algebra.simplifier import simplify
 from repro.core.schema import DatabaseSchema
@@ -80,6 +81,9 @@ class TestAst:
     def test_arity_mismatch_union(self):
         with pytest.raises(EvaluationError):
             arity_of(Union(Rel("R"), Rel("R2")), CATALOG)
+        # an anti-join's stored arity must be its left input's
+        with pytest.raises(EvaluationError):
+            arity_of(AntiJoin(1, frozenset(), Rel("R2"), Rel("R")), CATALOG)
 
     def test_projection_out_of_range(self):
         with pytest.raises(EvaluationError):

@@ -4,6 +4,7 @@ its wiring into the translation pipeline and simplifier."""
 import pytest
 
 from repro.algebra.ast import (
+    AntiJoin,
     CApp,
     Col,
     Condition,
@@ -51,6 +52,10 @@ class TestSanitizeRules:
         ds = sanitize_plan(Diff(Rel("R2"), Rel("R")), CATALOG)
         assert codes(ds) == ["PL002"]
         assert "difference" in ds[0].message
+        ds = sanitize_plan(AntiJoin(1, frozenset(), Rel("R2"), Rel("R")),
+                           CATALOG)
+        assert codes(ds) == ["PL002"]
+        assert "anti-join" in ds[0].message
 
     def test_pl003_select_condition_missing_column(self):
         plan = Select(frozenset([Condition(Col(1), "=", Col(5))]), Rel("R2"))

@@ -11,6 +11,10 @@ For every corpus query the harness compares
   (so a caching bug that corrupts or cross-wires plans shows up as a
   divergence, not a silent wrong answer).
 
+Every translated and optimized plan is also checked for T15's
+generalized-difference shape ``e - project([@1..@n], join(c, e, X))``
+left as a ``Diff``: the simplifier must have made it an ``AntiJoin``.
+
 On top of the random corpus, ``TestHeavyCases`` pins hand-picked
 UNDEFINED-heavy (partial scalar functions undefined on half the domain)
 and scalar-function-heavy (nested applications in join keys,
@@ -42,6 +46,7 @@ import os
 
 import pytest
 
+from repro.algebra.ast import AntiJoin, Col, Diff, Join, Project, walk_algebra
 from repro.core.parser import parse_query
 from repro.data.generators import random_instance, standard_functions
 from repro.data.interpretation import (
@@ -49,6 +54,7 @@ from repro.data.interpretation import (
     Interpretation,
     partial_function,
 )
+from repro.engine import optimize_plan, plan_catalog, stats_for
 from repro.engine.executor import execute
 from repro.errors import EvaluationError
 from repro.semantics.eval_calculus import evaluate_query, query_schema
@@ -99,6 +105,26 @@ def _mismatch(kind: str, seed: int, text: str, want, got) -> str:
             f"  got:       {_sorted_rows(got)}")
 
 
+def _diff_shaped_anti_joins(plan) -> list:
+    """``Diff`` nodes whose right input is an identity projection of a
+    join over that ``Diff``'s own left input."""
+    return [node for node in walk_algebra(plan)
+            if isinstance(node, Diff) and isinstance(node.right, Project)
+            and isinstance(node.right.child, Join)
+            and node.right.child.left == node.left
+            and node.right.exprs == tuple(
+                Col(i) for i in range(1, len(node.right.exprs) + 1))]
+
+
+def _check_anti_join_shapes(plan, instance, schema, label) -> None:
+    """Neither the translated nor the optimized plan keeps the shape."""
+    optimized = optimize_plan(plan, stats_for(instance),
+                              plan_catalog(plan, instance, schema)).plan
+    for stage, tree in (("translated", plan), ("optimized", optimized)):
+        assert not _diff_shaped_anti_joins(tree), \
+            f"{stage} plan of {label} keeps a Diff-shaped anti-join"
+
+
 def _fixture(seed: int):
     """Deterministic (query, schema, instance, interpretation) per seed."""
     from repro.core.printer import to_text
@@ -126,6 +152,8 @@ class TestRandomCorpusDifferential:
 
             # Leg 1: translated plan through the physical executor.
             result = translate_query(query)
+            _check_anti_join_shapes(result.plan, instance, result.schema,
+                                    f"seed {seed}: {text}")
             run = execute(result.plan, instance, interp,
                           schema=result.schema)
             assert run.result == reference, \
@@ -150,6 +178,11 @@ class TestRandomCorpusDifferential:
             f"too many skipped seeds in {seeds}: {skipped}"
 
 
+#: Anti-joins per translated gallery plan: one per T15 difference whose
+#: subtrahend joins its own context (ex_neg_exists's does not).
+GALLERY_ANTI_JOINS = {"q2": 1, "q3": 1, "q4": 2, "ex74": 1, "ex_forall": 1}
+
+
 class TestGalleryDifferential:
     @pytest.mark.parametrize(
         "key", [k for k, e in GALLERY.items() if e.translatable])
@@ -160,6 +193,10 @@ class TestGalleryDifferential:
         reference = evaluate_query(entry.query, instance, interp)
 
         result = translate_query(entry.query)
+        _check_anti_join_shapes(result.plan, instance, result.schema, key)
+        anti_joins = sum(isinstance(node, AntiJoin)
+                         for node in walk_algebra(result.plan))
+        assert anti_joins == GALLERY_ANTI_JOINS.get(key, 0), key
         run = execute(result.plan, instance, interp, schema=result.schema)
         assert run.result == reference, \
             _mismatch("executor-vs-reference", -1, entry.text,

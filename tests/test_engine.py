@@ -4,6 +4,7 @@ the reference algebra evaluator, join algorithm selection, counters."""
 import pytest
 
 from repro.algebra.ast import (
+    AntiJoin,
     CApp,
     CConst,
     Col,
@@ -23,7 +24,7 @@ from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
 from repro.data.relation import Relation
 from repro.engine.executor import execute
-from repro.engine.operators import HashJoinOp, NestedLoopJoinOp, OpCounters
+from repro.engine.operators import HashJoinOp, NestedLoopJoinOp
 from repro.engine.planner import build_physical_plan
 from repro.translate.pipeline import translate_query
 from repro.workloads.gallery import GALLERY, gallery_instance, standard_gallery_interp
@@ -56,6 +57,8 @@ PLANS = [
     Lit(1, frozenset({(7,)})),
     Diff(Rel("R2"), Project((Col(1), Col(2)), Join(
         frozenset({Condition(Col(2), "=", Col(3))}), Rel("R2"), Rel("S")))),
+    AntiJoin(2, frozenset({Condition(Col(2), "=", Col(3))}),
+             Rel("R2"), Rel("S")),
 ]
 
 
@@ -266,9 +269,8 @@ class TestComparisonCounter:
     def test_anti_join_short_circuits_at_first_match(self, inst, interp):
         # R anti-join S on equality: each left row with a bucket hit
         # costs exactly one examination (matched immediately)
-        plan = Diff(Rel("R"), Project((Col(1),), Join(
-            frozenset({Condition(Col(1), "=", Col(2))}),
-            Rel("R"), Rel("S"))))
+        plan = AntiJoin(1, frozenset({Condition(Col(1), "=", Col(2))}),
+                        Rel("R"), Rel("S"))
         report = execute(plan, inst, interp)
         from repro.engine.operators import AntiJoinOp
         assert isinstance(
@@ -297,8 +299,9 @@ class TestAdomPlans:
 
 
 class TestAntiJoin:
-    """The planner recognizes the translator's generalized-difference
-    shape and runs it as an anti-join (context evaluated once)."""
+    """The simplifier turns the translator's generalized difference into
+    an ``AntiJoin`` node, which the planner runs as an anti-join
+    (context evaluated once)."""
 
     def test_pattern_detected_on_translated_difference(self):
         from repro.engine.operators import AntiJoinOp
@@ -343,9 +346,8 @@ class TestAntiJoin:
     def test_theta_anti_join_falls_back_to_materialized_scan(self, inst, interp):
         from repro.engine.operators import AntiJoinOp
         # a non-equi condition: rows of R with no strictly-smaller S row
-        inner = Join(frozenset({Condition(Col(2), "<", Col(1))}),
-                     Rel("R"), Rel("S"))
-        plan = Diff(Rel("R"), Project((Col(1),), inner))
+        plan = AntiJoin(1, frozenset({Condition(Col(2), "<", Col(1))}),
+                        Rel("R"), Rel("S"))
         op = build_physical_plan(plan, inst, interp)
         assert isinstance(op, AntiJoinOp)
         got = execute(plan, inst, interp).result

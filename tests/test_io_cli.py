@@ -417,7 +417,7 @@ class TestCliExplainAndModule:
         code = main(["translate", "{ x | R(x) & ~S(x) }", "--explain"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "Diff" in out  # the operator tree
+        assert "AntiJoin" in out  # the operator tree
 
     def test_module_entry_point_exists(self):
         import importlib.util

@@ -10,7 +10,8 @@ whose answer depends on exactly one place where the two rules part,
 and asserts that
 
 * the algebra reference evaluator (:func:`repro.algebra.evaluator.evaluate`) and
-* the batch executor (:func:`repro.engine.executor.execute`)
+* the batch executor (:func:`repro.engine.executor.execute`), under both
+  batch representations at batch sizes 1, 7 and 1024,
 
 return the identical, hand-computed relation.
 """
@@ -20,12 +21,14 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra.ast import (
+    AntiJoin,
     CApp,
     CConst,
     Col,
     Condition,
     Diff,
     Join,
+    Lit,
     Project,
     Rel,
     Select,
@@ -63,9 +66,13 @@ def _agree(plan, expected_rows, optimize=None):
     assert set(reference.rows) == set(expected_rows), \
         f"reference disagrees with hand computation: {sorted(reference.rows, key=repr)}"
 
-    run = execute(plan, instance, _interp(), optimize=optimize)
-    assert run.result == reference, \
-        f"executor diverged: {sorted(run.result.rows, key=repr)}"
+    for batch_repr in ("tuple", "column"):
+        for batch_size in (1, 7, 1024):
+            run = execute(plan, instance, _interp(), optimize=optimize,
+                          batch_repr=batch_repr, batch_size=batch_size)
+            assert run.result == reference, \
+                f"executor diverged ({batch_repr}, {batch_size} rows per " \
+                f"batch): {sorted(run.result.rows, key=repr)}"
 
 
 def _f(col: int) -> CApp:
@@ -185,3 +192,57 @@ class TestDifferenceAndAntiJoin:
         _agree(plan, {(2,), (3,), (4,)})
         # the same answer must hold with the optimizer free to rewrite
         _agree(plan, {(2,), (3,), (4,)}, optimize=True)
+        # and for the anti-join node the simplifier makes of the shape,
+        # which runs as an anti-join with the optimizer off too
+        anti = AntiJoin(1, frozenset({Condition(_f(1), "=", Col(2))}),
+                        context, Rel("S"))
+        _agree(anti, {(2,), (3,), (4,)})
+        _agree(anti, {(2,), (3,), (4,)}, optimize=False)
+
+    ANTI_JOINS = [
+        # hash key @1==@2 plus the residual @2 != 3: only 3 finds no
+        # partner that passes the residual
+        ("residual", AntiJoin(1, frozenset({
+            Condition(Col(1), "=", Col(2)),
+            Condition(Col(2), "!=", CConst(3))}), Rel("R"), Rel("R")),
+         {(3,)}),
+        # no key at all: rows of R with no larger row of R
+        ("theta", AntiJoin(1, frozenset({Condition(Col(1), "<", Col(2))}),
+                           Rel("R"), Rel("R")),
+         {(4,)}),
+        # f(x) > s: f(1) = 11 has no smaller S row, f(3) = 13 has; the
+        # UNDEFINED f(2), f(4) order false, so they match nothing
+        ("partial", AntiJoin(1, frozenset({Condition(_f(1), ">", Col(2))}),
+                             Rel("R"), Rel("S")),
+         {(1,), (2,), (4,)}),
+        # g(x) != s holds wherever g is UNDEFINED: the odd rows match
+        # every S row and go; g(2) = 12 and g(4) = 14 differ from some
+        # S row, so every row of R is excluded
+        ("partial-neq", AntiJoin(1, frozenset({Condition(_g(1), "!=",
+                                                         Col(2))}),
+                                 Rel("R"), Rel("S")),
+         set()),
+        # the right input is empty only at run time: nothing is excluded
+        ("empty-right", AntiJoin(1, frozenset({Condition(Col(1), "=",
+                                                         Col(2))}),
+                                 Rel("R"), Select(frozenset({Condition(
+                                     Col(1), "=", CConst(99))}), Rel("S"))),
+         {(1,), (2,), (3,), (4,)}),
+        # an arity-0 left input (R is non-empty); the condition sees
+        # only S's column, and no S row exceeds 14
+        ("arity-0-left", AntiJoin(0, frozenset({Condition(Col(1), ">",
+                                                          CConst(14))}),
+                                  Project((), Rel("R")), Rel("S")),
+         {()}),
+        ("arity-0-left-excluded",
+         AntiJoin(0, frozenset({Condition(Col(1), "=", CConst(12))}),
+                  Lit(0, frozenset({()})), Rel("S")),
+         set()),
+    ]
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("plan,expected",
+                             [(p, e) for _, p, e in ANTI_JOINS],
+                             ids=[k for k, _, _ in ANTI_JOINS])
+    def test_anti_join_node(self, plan, expected, optimize):
+        _agree(plan, expected, optimize=optimize)

@@ -5,7 +5,7 @@ on plans the translator happens to emit."""
 
 import random
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.algebra.ast import (
     CApp,
@@ -151,6 +151,11 @@ class TestSimplifierProperty:
 class TestEnginePlanProperty:
     @_SETTINGS
     @given(st.integers(0, 10_000), st.integers(0, 50))
+    # seeds whose optimized plans once raised false TV003 alarms: an
+    # equality pushed below the join that types one of its columns
+    # (9156), and a column pinned to two constants (3702)
+    @example(9156, 0)
+    @example(3702, 0)
     def test_engine_matches_reference_on_random_plans(self, plan_seed, data_seed):
         plan = random_plan(plan_seed)
         inst = _instance(data_seed)

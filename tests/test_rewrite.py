@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra.ast import (
+    AntiJoin,
     CConst,
     Col,
     Condition,
@@ -26,6 +27,7 @@ from repro.algebra.ast import (
     Union,
     walk_algebra,
 )
+from repro.algebra.simplifier import simplify
 from repro.data.generators import random_instance, standard_functions
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
@@ -33,10 +35,8 @@ from repro.engine import (
     OpCounters,
     build_physical_plan,
     clear_engine_caches,
-    collect_stats,
     engine_cache_info,
     execute,
-    match_anti_join,
     optimize_enabled,
     optimize_plan,
     plan_catalog,
@@ -263,11 +263,13 @@ class TestSharedSubplans:
     def test_anti_join_context_not_counted_twice(self):
         context = Select(frozenset({Condition(Col(1), ">", CConst(0))}),
                          Rel("R"))
-        anti = Diff(context,
-                    Project((Col(1),),
-                            Join(frozenset({Condition(Col(1), "=", Col(2))}),
-                                 context, Rel("S"))))
-        assert match_anti_join(anti) is not None
+        anti = simplify(
+            Diff(context,
+                 Project((Col(1),),
+                         Join(frozenset({Condition(Col(1), "=", Col(2))}),
+                              context, Rel("S")))),
+            {"R": 1, "S": 1})
+        assert isinstance(anti, AntiJoin)
         assert shared_subplans(anti) == frozenset()
 
     def test_materialization_computes_once(self):

@@ -243,6 +243,24 @@ class TestNarrowing:
         types = infer_plan_types(plan, CATALOG, typed_schema())
         assert [c.vtype for c in types.root.columns] == ["int", "int"]
 
+    def test_two_constants_leave_the_column_empty(self):
+        # @1 pinned to 2 and to 7, whichever conjunct is seen first
+        plan = Select(frozenset({Condition(CConst(2), "=", Col(1)),
+                                 Condition(Col(1), "=", CConst(7))}),
+                      Rel("T"))
+        assert infer_plan_types(plan, CATALOG).root.columns[0].vtype == \
+            TYPE_NEVER
+
+    def test_equal_columns_narrow_together(self):
+        # T.1 = T.2 holds below the projection and the join that types
+        # T.2 as int: T.1 is int at the root too
+        below = Project((Col(2), Col(1)), Select(
+            frozenset({Condition(Col(2), "=", Col(1))}), Rel("T")))
+        plan = Join(frozenset({Condition(Col(1), "=", Col(2))}),
+                    Rel("S"), below)
+        types = infer_plan_types(plan, CATALOG, typed_schema())
+        assert [c.vtype for c in types.root.columns] == ["int"] * 3
+
 
 class TestKeys:
     def test_join_composes_keys(self):

@@ -2,8 +2,14 @@
 E1's assertions), practical scenarios, parametric families, and the
 random query generator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.safety import allowed, em_allowed, range_restricted, safe_top91
 from repro.semantics.domain_independence import edi_witness
 from repro.semantics.eval_calculus import evaluate_query
@@ -156,6 +162,26 @@ class TestFamilies:
 class TestRandomQueries:
     def test_deterministic_per_seed(self):
         assert random_em_allowed_query(5) == random_em_allowed_query(5)
+
+    def test_text_independent_of_string_hashing(self):
+        """A seed spells the same query in every process: the corpus
+        text must not follow ``PYTHONHASHSEED``."""
+        script = (
+            "from repro.core.printer import to_text\n"
+            "from repro.workloads.random_queries import "
+            "random_em_allowed_query\n"
+            "for seed in range(400):\n"
+            "    print(to_text(random_em_allowed_query(seed)))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        texts = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120, check=True)
+            texts.append(proc.stdout)
+        assert len(texts[0].splitlines()) == 400
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_queries_are_em_allowed(self, seed):
