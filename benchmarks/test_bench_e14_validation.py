@@ -1,9 +1,10 @@
-"""E14 — the cost of certifying every optimizer rewrite.
+"""E14 — the cost of certifying every plan rewrite.
 
 The translation validator (PR 7) replays each recorded
-:class:`~repro.engine.rewrite.RewriteStep` and discharges per-rule
-soundness obligations (TV001–TV010); the plan sanitizer re-checks
-structural invariants after every phase.  Both run whenever
+:class:`~repro.engine.rewrite.RewriteStep` — normalization and
+optimizer steps alike — and discharges per-rule soundness obligations
+(TV001–TV011); plan verification (the structural findings of plan type
+inference) re-checks structural invariants after every phase.  Both run whenever
 ``verify_plans`` is on — always in the test suite, opt-in in
 production.  This experiment prices that certification on the E13
 workload (the skewed join-chain family, where the optimizer does the
@@ -30,7 +31,7 @@ from benchmarks.test_bench_e13_optimizer import (
     _best_of,
     skewed_chain_instance,
 )
-from repro.analysis.sanitizer import set_verify_plans
+from repro.analysis.typeinfer import set_verify_plans
 from repro.analysis.validate import validate_rewrites
 from repro.data.interpretation import Interpretation
 from repro.engine.caches import stats_for
@@ -53,8 +54,9 @@ def verification_off():
 
 def _end_to_end(n: int, inst, interp, verify: bool) -> float:
     """One certified (or bare) pipeline run: translate, optimize,
-    execute.  ``verify_plans`` gates the sanitizer, the simplify-phase
-    validator, and the post-optimize rewrite validation."""
+    execute.  ``verify_plans`` gates plan verification, the
+    simplify-phase validator, and the post-optimize rewrite
+    validation."""
     def run():
         set_verify_plans(verify)
         res = translate_query(join_chain_query(n))

@@ -84,7 +84,7 @@ def test_e3_practical_translation(benchmark, results_dir):
 
 
 def test_e3_verify_plans_overhead(benchmark, results_dir):
-    """Plan-sanitizer cost: translating the whole gallery with
+    """Plan-verification cost: translating the whole gallery with
     ``verify_plans`` off (the production default — one boolean test)
     must stay within noise of the PR 1 baseline; the table records the
     verified path alongside for comparison."""

@@ -24,7 +24,8 @@ Package map:
 * :mod:`repro.finds` — finiteness dependencies and reduced covers;
 * :mod:`repro.safety` — pushnot, bd, em-allowed, and comparator criteria;
 * :mod:`repro.analysis` — structured diagnostics, the formula linter,
-  and the algebra plan sanitizer;
+  plan type inference with structural checks, and the translation
+  validator;
 * :mod:`repro.algebra` — the extended algebra and its evaluator;
 * :mod:`repro.translate` — the four-step translation (T1–T16);
 * :mod:`repro.semantics` — reference evaluation and EDI checking;

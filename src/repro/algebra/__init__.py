@@ -3,8 +3,10 @@ functions via extended projection).
 
 * :mod:`repro.algebra.ast` — expression nodes and static arity checking;
 * :mod:`repro.algebra.evaluator` — reference evaluation with row stats;
-* :mod:`repro.algebra.printer` — paper-style plan rendering;
-* :mod:`repro.algebra.simplifier` — equivalence-preserving cleanups.
+* :mod:`repro.algebra.printer` — paper-style plan rendering.
+
+Plan rewriting (normalization and optimization) lives in
+:mod:`repro.engine.rewrite`.
 """
 
 from repro.algebra.ast import (
@@ -31,7 +33,6 @@ from repro.algebra.ast import (
 )
 from repro.algebra.evaluator import EvalStats, eval_colexpr, evaluate
 from repro.algebra.printer import explain, to_algebra_text
-from repro.algebra.simplifier import simplify
 
 __all__ = [
     "AlgebraExpr", "Rel", "Lit", "Project", "Select", "Join",
@@ -40,5 +41,5 @@ __all__ = [
     "arity_of", "algebra_size", "algebra_function_names",
     "walk_algebra", "colexpr_columns",
     "evaluate", "eval_colexpr", "EvalStats",
-    "to_algebra_text", "explain", "simplify",
+    "to_algebra_text", "explain",
 ]

@@ -34,7 +34,7 @@ Algebra nodes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from repro.errors import EvaluationError
 
@@ -59,8 +59,12 @@ __all__ = [
     "Params",
     "Enumerate",
     "arity_of",
+    "children",
+    "with_children",
     "walk_algebra",
     "colexpr_columns",
+    "map_columns",
+    "map_condition",
     "algebra_size",
     "algebra_function_names",
 ]
@@ -131,6 +135,19 @@ def colexpr_columns(expr: ColExpr) -> frozenset[int]:
     raise TypeError(f"not a column expression: {expr!r}")
 
 
+def map_columns(expr: ColExpr, column: Callable[[int], ColExpr]) -> ColExpr:
+    """``expr`` with every coordinate ``@i`` replaced by ``column(i)``:
+    a renumbering when ``column`` returns ``Col`` values, a substitution
+    (projection composition) when it returns arbitrary expressions."""
+    if isinstance(expr, Col):
+        return column(expr.index)
+    if isinstance(expr, CConst):
+        return expr
+    if isinstance(expr, CApp):
+        return CApp(expr.name, tuple(map_columns(a, column) for a in expr.args))
+    raise TypeError(f"not a column expression: {expr!r}")
+
+
 def _colexpr_functions(expr: ColExpr) -> frozenset[str]:
     if isinstance(expr, CApp):
         out = {expr.name}
@@ -167,6 +184,13 @@ class Condition:
     def __str__(self) -> str:
         symbol = "==" if self.op == "=" else self.op
         return f"{self.left}{symbol}{self.right}"
+
+
+def map_condition(cond: Condition,
+                  column: Callable[[int], ColExpr]) -> Condition:
+    """``cond`` with both operands remapped by :func:`map_columns`."""
+    return Condition(map_columns(cond.left, column), cond.op,
+                     map_columns(cond.right, column))
 
 
 def compare_values(op: str, left, right) -> bool:
@@ -384,17 +408,55 @@ class AdomK(AlgebraExpr):
 # Structural helpers
 # ---------------------------------------------------------------------------
 
+#: How many algebra inputs each node kind has (leaves are absent): a
+#: ``child``, or a ``left`` and a ``right``.
+_INPUTS: dict[type, int] = {Project: 1, Select: 1, Enumerate: 1, Join: 2,
+                            AntiJoin: 2, Union: 2, Diff: 2, Product: 2}
+
+
+def children(node: AlgebraExpr) -> tuple[AlgebraExpr, ...]:
+    """The algebra inputs of ``node``, left to right (none for leaves).
+
+    With :func:`with_children` this is the only code that knows which
+    fields of a node are subplans; every plan walker goes through it.
+    """
+    count = _INPUTS.get(type(node))
+    if count == 1:
+        return (node.child,)  # type: ignore[attr-defined]
+    if count == 2:
+        return (node.left, node.right)  # type: ignore[attr-defined]
+    return ()
+
+
+def with_children(node: AlgebraExpr,
+                  inputs: Sequence[AlgebraExpr]) -> AlgebraExpr:
+    """``node`` rebuilt over ``inputs`` (as :func:`children` lists
+    them), every non-input field unchanged."""
+    if isinstance(node, Project):
+        return Project(node.exprs, inputs[0])
+    if isinstance(node, Select):
+        return Select(node.conds, inputs[0])
+    if isinstance(node, Enumerate):
+        return Enumerate(node.enumerator, node.inputs, node.out_count,
+                         inputs[0])
+    if isinstance(node, Join):
+        return Join(node.conds, inputs[0], inputs[1])
+    if isinstance(node, AntiJoin):
+        return AntiJoin(node.arity, node.conds, inputs[0], inputs[1])
+    if isinstance(node, (Union, Diff, Product)):
+        return type(node)(inputs[0], inputs[1])
+    return node
+
+
 def walk_algebra(expr: AlgebraExpr) -> Iterator[AlgebraExpr]:
     """Yield ``expr`` and all of its children, pre-order."""
     stack = [expr]
     while stack:
         current = stack.pop()
         yield current
-        if isinstance(current, (Project, Select, Enumerate)):
-            stack.append(current.child)
-        elif isinstance(current, (Join, AntiJoin, Union, Diff, Product)):
-            stack.append(current.right)
-            stack.append(current.left)
+        inputs = children(current)
+        if inputs:
+            stack.extend(inputs[::-1])
 
 
 def algebra_size(expr: AlgebraExpr) -> int:

@@ -1,23 +1,22 @@
-"""Static analysis over both IRs: diagnostics, linter, plan sanitizer,
-type inference, and translation validation.
+"""Static analysis over both IRs: diagnostics, linter, plan analysis
+(type inference with structural checks), and translation validation.
 
-Five layers (see DESIGN.md S19 and S23):
+Four layers (see DESIGN.md S19 and S23):
 
 * :mod:`repro.analysis.diagnostics` — the :class:`Diagnostic` value
   type, severity order, compiler-style text rendering, and JSON export;
 * :mod:`repro.analysis.linter` — a rule registry over the calculus IR
   (schema misuse, quantifier hygiene, trivial/contradictory atoms,
   explanatory em-allowed safety rules);
-* :mod:`repro.analysis.sanitizer` — bottom-up schema inference over
-  algebra plans, wired into the translation pipeline and simplifier
-  behind ``verify_plans``;
 * :mod:`repro.analysis.typeinfer` — the abstract interpreter assigning
   each plan node per-column facts (value type, nullability, function
   depth / ``term_k`` finiteness certificate, constants, provenance,
-  keys), reporting ``TY0xx`` diagnostics;
+  keys), reporting structural ``PL0xx`` and type ``TY0xx`` diagnostics;
+  its structural findings are the plan check the translation pipeline
+  and the optimizer run after every phase behind ``verify_plans``;
 * :mod:`repro.analysis.validate` — the translation validator replaying
-  the optimizer's recorded rewrite steps and discharging per-rule
-  soundness obligations (``TV0xx``).
+  every recorded rewrite step and discharging per-rule soundness
+  obligations (``TV0xx``).
 
 Only the diagnostics core is imported eagerly: the safety layer
 (:mod:`repro.safety.em_allowed`) imports it, while the linter imports
@@ -65,12 +64,11 @@ __all__ = [
     "lint_formula",
     "lint_query",
     "lint_source",
-    # sanitizer (lazy)
+    # typeinfer (lazy)
     "sanitize_plan",
     "check_plan",
     "set_verify_plans",
     "verify_plans_enabled",
-    # typeinfer (lazy)
     "ColumnFact",
     "FinitenessCertificate",
     "NodeFacts",
@@ -88,13 +86,11 @@ _LINTER_NAMES = frozenset({
     "Linter", "LintRule", "LintTarget", "DEFAULT_LINTER",
     "REGISTERED_RULE_CODES", "lint_formula", "lint_query", "lint_source",
 })
-_SANITIZER_NAMES = frozenset({
-    "sanitize_plan", "check_plan", "set_verify_plans",
-    "verify_plans_enabled",
-})
 _TYPEINFER_NAMES = frozenset({
     "ColumnFact", "FinitenessCertificate", "NodeFacts", "PlanTypes",
     "infer_plan_types", "refinement_violations", "render_typed_plan",
+    "sanitize_plan", "check_plan", "set_verify_plans",
+    "verify_plans_enabled",
 })
 _VALIDATE_NAMES = frozenset({
     "check_rewrites", "refinement_diagnostics", "validate_rewrites",
@@ -105,9 +101,6 @@ def __getattr__(name: str) -> object:
     if name in _LINTER_NAMES:
         from repro.analysis import linter
         return getattr(linter, name)
-    if name in _SANITIZER_NAMES:
-        from repro.analysis import sanitizer
-        return getattr(sanitizer, name)
     if name in _TYPEINFER_NAMES:
         from repro.analysis import typeinfer
         return getattr(typeinfer, name)

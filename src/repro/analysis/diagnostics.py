@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import pathlib
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import SourceSpan

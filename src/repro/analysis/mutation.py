@@ -23,6 +23,12 @@ shift-pushed-column         a pushed condition references the wrong column
 scramble-prune              column-prune projection remapped wrongly
 permute-restore             reorder/swap restoring projection scrambled
 retarget-leaf               join reorder swaps in a different relation
+skip-composition            cascaded projections stacked, not composed
+drop-non-identity           a reordering projection dropped as identity
+lose-merged-condition       merged selection loses an inner condition
+lose-join-condition         selection folded into a join loses a condition
+drop-unit-condition         unit-product elimination drops the conditions
+widen-anti-join             anti-join declares the wrong arity
 widen-root                  the final plan gained an output column
 fake-shared                 a "shared" subplan that never occurs twice
 ==========================  =============================================
@@ -50,10 +56,14 @@ from repro.algebra.ast import (
     Diff,
     Join,
     Lit,
+    Product,
     Project,
     Rel,
     Select,
     Union,
+    arity_of,
+    children,
+    with_children,
 )
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.validate import validate_rewrites
@@ -110,8 +120,22 @@ def _workload_plans() -> list[AlgebraExpr]:
         Join(frozenset({eq(1, 3)}), Rel("R"), Rel("S")))
     anti_empty = AntiJoin(2, frozenset({eq(1, 3)}), Rel("R"),
                           Lit(2, frozenset()))
+    # normalization redexes: a cascade that composes to the identity
+    # (so both projection rules fire), a selection cascade, a selection
+    # over a product, a conditioned join with the unit relation, and
+    # T15's difference shape
+    cascade = Project((Col(2), Col(1)),
+                      Project((Col(2), Col(1), Col(1)), Rel("R")))
+    merge = Select(frozenset({eq(1, 2)}),
+                   Select(frozenset({Condition(Col(1), "<", CConst(9))}),
+                          Rel("U")))
+    product = Select(frozenset({eq(2, 3)}), Product(Rel("R"), Rel("T")))
+    unit = Join(frozenset({eq(1, 2)}), Lit(0, frozenset({()})), Rel("U"))
+    t15 = Diff(Rel("R"),
+               Project((Col(1), Col(2)),
+                       Join(frozenset({eq(1, 3)}), Rel("R"), Rel("S"))))
     return [join_chain, tautology, empty_join, select_union, repeated,
-            anti_empty]
+            anti_empty, cascade, merge, product, unit, t15]
 
 
 def workload_runs(seed: int = 0) -> list[tuple[AlgebraExpr,
@@ -144,22 +168,8 @@ def _replace_first(node: AlgebraExpr,
         if not done and pred(n):
             done = True
             return fn(n)
-        if isinstance(n, Project):
-            return Project(n.exprs, go(n.child))
-        if isinstance(n, Select):
-            return Select(n.conds, go(n.child))
-        if isinstance(n, (Join,)):
-            left = go(n.left)
-            return Join(n.conds, left, go(n.right))
-        if isinstance(n, Union):
-            left = go(n.left)
-            return Union(left, go(n.right))
-        if isinstance(n, Diff):
-            left = go(n.left)
-            return Diff(left, go(n.right))
-        if isinstance(n, AntiJoin):
-            return AntiJoin(n.arity, n.conds, go(n.left), go(n.right))
-        return n
+        inputs = children(n)
+        return with_children(n, [go(i) for i in inputs]) if inputs else n
 
     result = go(node)
     if not done or result == node:
@@ -194,7 +204,8 @@ def _flip_fold_decision(step: RewriteStep) -> RewriteStep | None:
     if step.rule != "fold-const" or len(step.data) != 2:
         return None
     cond, decision = step.data
-    return RewriteStep(step.rule, step.detail, data=(cond, not decision))
+    return RewriteStep(step.rule, step.detail, before=step.before,
+                       after=step.after, data=(cond, not decision))
 
 
 def _wrong_arity_empty(step: RewriteStep) -> RewriteStep | None:
@@ -275,6 +286,63 @@ def _retarget_leaf(step: RewriteStep) -> RewriteStep | None:
                        after=mutated)
 
 
+def _skip_composition(step: RewriteStep) -> RewriteStep | None:
+    before = step.before
+    if step.rule != "project-cascade" or not isinstance(before, Project) \
+            or not isinstance(before.child, Project):
+        return None
+    return RewriteStep(step.rule, step.detail, before=before,
+                       after=Project(before.exprs, before.child.child))
+
+
+def _drop_non_identity(step: RewriteStep) -> RewriteStep | None:
+    if step.rule != "project-identity" or not isinstance(step.before,
+                                                         Project):
+        return None
+    swapped = _swap_two_exprs(step.before.exprs)
+    if swapped is None:
+        return None
+    return RewriteStep(step.rule, step.detail,
+                       before=Project(swapped, step.before.child),
+                       after=step.after)
+
+
+def _lose_merged_condition(step: RewriteStep) -> RewriteStep | None:
+    before = step.before
+    if step.rule != "select-merge" or not isinstance(before, Select) \
+            or not isinstance(before.child, Select):
+        return None
+    return RewriteStep(step.rule, step.detail, before=before,
+                       after=Select(before.conds, before.child.child))
+
+
+def _lose_join_condition(step: RewriteStep) -> RewriteStep | None:
+    after = step.after
+    if step.rule != "select-join" or not isinstance(after, Join) \
+            or not after.conds:
+        return None
+    kept = frozenset(sorted(after.conds, key=str)[1:])
+    return RewriteStep(step.rule, step.detail, before=step.before,
+                       after=(Join(kept, after.left, after.right) if kept
+                              else Product(after.left, after.right)))
+
+
+def _drop_unit_condition(step: RewriteStep) -> RewriteStep | None:
+    if step.rule != "unit-product" or not isinstance(step.after, Select):
+        return None
+    return RewriteStep(step.rule, step.detail, before=step.before,
+                       after=step.after.child)
+
+
+def _widen_anti_join(step: RewriteStep) -> RewriteStep | None:
+    after = step.after
+    if step.rule != "anti-join" or not isinstance(after, AntiJoin):
+        return None
+    return RewriteStep(step.rule, step.detail, before=step.before,
+                       after=AntiJoin(after.arity + 1, after.conds,
+                                      after.left, after.right))
+
+
 #: name -> single-step mutation operator
 _STEP_MUTATORS: dict[str, Callable[[RewriteStep], RewriteStep | None]] = {
     "flip-fold-decision": _flip_fold_decision,
@@ -284,6 +352,12 @@ _STEP_MUTATORS: dict[str, Callable[[RewriteStep], RewriteStep | None]] = {
     "scramble-prune": _scramble_prune,
     "permute-restore": _permute_restore,
     "retarget-leaf": _retarget_leaf,
+    "skip-composition": _skip_composition,
+    "drop-non-identity": _drop_non_identity,
+    "lose-merged-condition": _lose_merged_condition,
+    "lose-join-condition": _lose_join_condition,
+    "drop-unit-condition": _drop_unit_condition,
+    "widen-anti-join": _widen_anti_join,
 }
 
 
@@ -422,5 +496,4 @@ def run_mutation_harness(seed: int = 0) -> MutationReport:
 
 
 def _root_arity(plan: AlgebraExpr) -> int:
-    from repro.algebra.ast import arity_of
     return arity_of(plan, CATALOG)

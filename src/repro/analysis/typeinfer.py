@@ -32,9 +32,26 @@ columns known to hold equal values in every row (from ``@i = @j``
 conditions), which narrow together: a fact learnt about one member
 holds for all, wherever in the plan the equality was applied.
 
-Inference never raises on type problems — it *records* them as
+Inference never raises — not on type problems, and not on a malformed
+plan: it *records* both as
 :class:`~repro.analysis.diagnostics.Diagnostic` values with stable
-``TY0xx`` codes:
+codes.  Structural findings (``PL0xx``, error severity) name the
+offending node by its path from the root (``plan.left.child``); a node
+whose arity cannot be determined has no facts, and checks that depend
+on it are skipped rather than cascading:
+
+=====  ==========================================================
+code   finding
+=====  ==========================================================
+PL001  projection expression refers to an out-of-range column
+PL002  union/difference/anti-join of mismatched arities
+PL003  selection/join condition refers to a missing column
+PL004  unknown relation name in the plan
+PL005  enumerate input refers to an out-of-range column
+PL006  plan arity differs from the declared/expected arity
+=====  ==========================================================
+
+Type findings carry ``TY0xx`` codes:
 
 =====  ========  ====================================================
 code   severity  meaning
@@ -50,8 +67,15 @@ TY006  warning   function argument type conflicts with the signature
 The facts feed three consumers: the ``repro typecheck`` CLI, the
 typed-facts lines of EXPLAIN ANALYZE, and the translation validator
 (:mod:`repro.analysis.validate`), whose root-refinement obligation
-compares the facts of a plan before and after the optimizer's rewrite
-pass.
+compares the facts of a plan before and after a rewrite phase.  The
+structural findings feed plan verification: :func:`sanitize_plan`
+lists them and :func:`check_plan` raises
+:class:`~repro.errors.PlanInvariantError` on any; the translation
+pipeline and the optimizer call it after every phase when plan
+verification is on.  Verification follows the observability
+subsystem's zero-overhead pattern: a module-level default (off) that
+the test suite switches on globally via :func:`set_verify_plans`, plus
+a per-call override on ``translate_query(..., verify_plans=...)``.
 """
 
 from __future__ import annotations
@@ -79,16 +103,19 @@ from repro.algebra.ast import (
     Rel,
     Select,
     Union,
-    arity_of,
+    children,
+    colexpr_columns,
 )
 from repro.analysis.diagnostics import ERROR, INFO, WARNING, Diagnostic
 from repro.core.schema import DatabaseSchema
 from repro.data.interpretation import UNDEFINED
+from repro.errors import PlanInvariantError
 
 __all__ = [
     "TYPE_ANY",
     "TYPE_NEVER",
     "ColumnFact",
+    "check_plan",
     "FinitenessCertificate",
     "NodeFacts",
     "PlanTypes",
@@ -97,7 +124,10 @@ __all__ = [
     "meet_types",
     "refinement_violations",
     "render_typed_plan",
+    "sanitize_plan",
+    "set_verify_plans",
     "value_type",
+    "verify_plans_enabled",
 ]
 
 #: Lattice top: nothing is known about the value type.
@@ -111,6 +141,27 @@ MAX_KEYS = 12
 
 #: Comparison operators with an order semantics (UNDEFINED never passes).
 _ORDERINGS = frozenset({"<", "<=", ">", ">="})
+
+#: Module-wide default for plan verification.  Off in production (zero
+#: overhead: the pipeline's only cost is one boolean test); switched on
+#: globally by the test suite's conftest.
+_VERIFY_PLANS_DEFAULT = False
+
+
+def set_verify_plans(enabled: bool) -> bool:
+    """Set the module-wide verification default; returns the previous
+    value so callers can restore it."""
+    global _VERIFY_PLANS_DEFAULT
+    previous = _VERIFY_PLANS_DEFAULT
+    _VERIFY_PLANS_DEFAULT = bool(enabled)
+    return previous
+
+
+def verify_plans_enabled(override: bool | None = None) -> bool:
+    """Resolve a per-call override (None means "use the default")."""
+    if override is None:
+        return _VERIFY_PLANS_DEFAULT
+    return bool(override)
 
 
 def value_type(value: Hashable) -> str:
@@ -233,9 +284,11 @@ class NodeFacts:
 
 @dataclass
 class PlanTypes:
-    """Result of :func:`infer_plan_types`."""
+    """Result of :func:`infer_plan_types`.  ``root`` is None when the
+    plan is malformed (its arity cannot be determined); the ``PL0xx``
+    diagnostics say why."""
 
-    root: NodeFacts
+    root: NodeFacts | None
     facts: dict[AlgebraExpr, NodeFacts]
     diagnostics: list[Diagnostic]
 
@@ -335,7 +388,10 @@ class _Inferencer:
     def expr_fact(self, expr: ColExpr,
                   columns: tuple[ColumnFact, ...]) -> ColumnFact:
         if isinstance(expr, Col):
-            return columns[expr.index - 1]
+            try:
+                return columns[expr.index - 1]
+            except IndexError:
+                return ColumnFact()  # reported as PL001/PL003/PL005
         if isinstance(expr, CConst):
             if expr.value is UNDEFINED:
                 return ColumnFact(vtype=TYPE_ANY, nullable=True)
@@ -446,12 +502,7 @@ class _Inferencer:
                     if isinstance(operand, Col):
                         idx = operand.index - 1
                         if cols[idx].nullable:
-                            cols[idx] = ColumnFact(
-                                vtype=cols[idx].vtype, nullable=False,
-                                depth=cols[idx].depth,
-                                const=cols[idx].const,
-                                is_const=cols[idx].is_const,
-                                sources=cols[idx].sources)
+                            cols[idx] = replace(cols[idx], nullable=False)
                 if cond.op in _ORDERINGS and (lf.nullable or rf.nullable):
                     self.diag(
                         "TY004", INFO,
@@ -477,34 +528,67 @@ class _Inferencer:
                             if (other_fact.is_const
                                     and not narrowed.is_const
                                     and met != TYPE_NEVER):
-                                narrowed = ColumnFact(
-                                    vtype=met, nullable=False,
-                                    depth=narrowed.depth,
-                                    const=other_fact.const, is_const=True,
-                                    sources=narrowed.sources)
+                                narrowed = replace(
+                                    narrowed, nullable=False,
+                                    const=other_fact.const, is_const=True)
                             cols[idx] = narrowed
 
     @staticmethod
     def _with_type(fact: ColumnFact, vtype: str) -> ColumnFact:
-        if vtype == fact.vtype:
-            return fact
-        return ColumnFact(vtype=vtype, nullable=fact.nullable,
-                          depth=fact.depth, const=fact.const,
-                          is_const=fact.is_const, sources=fact.sources)
+        return fact if vtype == fact.vtype else replace(fact, vtype=vtype)
+
+    # -- structural findings ------------------------------------------------
+
+    def plan_error(self, code: str, message: str, path: str,
+                   node: AlgebraExpr, suggestion: str = "") -> None:
+        self.diagnostics.append(Diagnostic(
+            code, ERROR, message, path=path, subject=str(node),
+            suggestion=suggestion))
+
+    def valid_conds(self, node: Select | Join | AntiJoin, width: int,
+                    path: str) -> frozenset[Condition]:
+        """``node``'s conditions over columns ``@1..@width``; each other
+        one is reported (PL003) and left out of narrowing."""
+        valid = []
+        for cond in node.conds:
+            bad = [i for i in cond.columns() if i > width]
+            if not bad:
+                valid.append(cond)
+                continue
+            where = "selection" if isinstance(node, Select) else "join"
+            what = "input" if isinstance(node, Select) else "joined"
+            self.plan_error(
+                "PL003",
+                f"{where} condition {cond} refers to @{bad[0]} but "
+                f"{what} arity is {width}",
+                path, node, suggestion=f"valid columns are @1..@{width}")
+        return (node.conds if len(valid) == len(node.conds)
+                else frozenset(valid))
 
     # -- nodes --------------------------------------------------------------
 
-    def infer(self, node: AlgebraExpr) -> NodeFacts:
+    def infer(self, node: AlgebraExpr, path: str = "plan") -> NodeFacts | None:
+        """Facts of ``node`` (reached at ``path``), or None when its
+        arity cannot be determined.  Only typable nodes are memoized, so
+        a malformed subplan is reported wherever it occurs."""
         cached = self.facts.get(node)
         if cached is not None:
             return cached
-        result = self._infer(node)
-        self.facts[node] = result
+        result = self._infer(node, path)
+        if result is not None:
+            self.facts[node] = result
         return result
 
-    def _infer(self, node: AlgebraExpr) -> NodeFacts:
+    def _infer(self, node: AlgebraExpr, path: str) -> NodeFacts | None:
         if isinstance(node, Rel):
-            arity = arity_of(node, self.catalog)
+            arity = self.catalog.get(node.name)
+            if arity is None:
+                known = ", ".join(sorted(self.catalog)) or "(none)"
+                self.plan_error("PL004",
+                                f"unknown relation {node.name!r} in plan",
+                                path, node,
+                                suggestion=f"catalog declares: {known}")
+                return None
             types: tuple[str, ...] = ()
             if self.schema is not None and self.schema.has_relation(node.name):
                 decl = self.schema.relation(node.name)
@@ -529,12 +613,28 @@ class _Inferencer:
                               sources=frozenset({("<adom>", node.level)}))
             return NodeFacts(1, (fact,))
         if isinstance(node, Select):
-            child = self.infer(node.child)
-            cols, keys, equal = self.narrow(child.columns, node.conds,
+            child = self.infer(node.child, f"{path}.child")
+            if child is None:
+                return None
+            conds = self.valid_conds(node, child.arity, path)
+            cols, keys, equal = self.narrow(child.columns, conds,
                                             child.keys, child.equal)
             return NodeFacts(child.arity, cols, keys, equal)
         if isinstance(node, Project):
-            child = self.infer(node.child)
+            child = self.infer(node.child, f"{path}.child")
+            if child is None:
+                # the width is still known: dependent checks go on
+                return NodeFacts(len(node.exprs),
+                                 tuple(ColumnFact() for _ in node.exprs))
+            for e in node.exprs:
+                bad = [i for i in colexpr_columns(e) if i > child.arity]
+                if bad:
+                    self.plan_error(
+                        "PL001",
+                        f"projection expression {e} refers to @{bad[0]} but "
+                        f"child arity is {child.arity}",
+                        path, node,
+                        suggestion=f"valid columns are @1..@{child.arity}")
             cols = tuple(self.expr_fact(e, child.columns)
                          for e in node.exprs)
             # keys survive when every member column is kept as a bare Col
@@ -557,37 +657,67 @@ class _Inferencer:
                               if len(c) > 1)
             return NodeFacts(len(node.exprs), cols,
                              _minimize_keys(keys, len(node.exprs)), equal)
-        if isinstance(node, (Join, Product)):
-            left = self.infer(node.left)
-            right = self.infer(node.right)
+        if isinstance(node, (Join, Product, AntiJoin)):
+            left = self.infer(node.left, f"{path}.left")
+            right = self.infer(node.right, f"{path}.right")
+            if left is None or right is None:
+                return None
             cols = left.columns + right.columns
+            width = left.arity + right.arity
+            if isinstance(node, AntiJoin):
+                # conditions hold over joined rows: narrowing them reports
+                # their diagnostics; the survivors are left rows
+                self.narrow(cols, self.valid_conds(node, width, path),
+                            frozenset())
+                if node.arity != left.arity:
+                    self.plan_error(
+                        "PL002", f"anti-join declares arity {node.arity}, "
+                                 f"its left input has {left.arity}",
+                        path, node)
+                    return None
+                return left
             keys = self._compose_keys(left, right)
             equal = left.equal | frozenset(
                 frozenset(i + left.arity for i in c) for c in right.equal)
             if isinstance(node, Join):
-                cols, keys, equal = self.narrow(cols, node.conds, keys,
-                                                equal)
-            return NodeFacts(left.arity + right.arity, cols, keys, equal)
-        if isinstance(node, Union):
-            left = self.infer(node.left)
-            right = self.infer(node.right)
+                cols, keys, equal = self.narrow(
+                    cols, self.valid_conds(node, width, path), keys, equal)
+            return NodeFacts(width, cols, keys, equal)
+        if isinstance(node, (Union, Diff)):
+            left = self.infer(node.left, f"{path}.left")
+            right = self.infer(node.right, f"{path}.right")
+            if left is None or right is None:
+                return left if right is None else right
+            if left.arity != right.arity:
+                op = "union" if isinstance(node, Union) else "difference"
+                self.plan_error(
+                    "PL002",
+                    f"{op} of mismatched arities: left is {left.arity}, "
+                    f"right is {right.arity}",
+                    path, node,
+                    suggestion="project both operands to a common column "
+                               "list")
+                return None
+            if isinstance(node, Diff):
+                return left
             cols = tuple(a.merge(b)
                          for a, b in zip(left.columns, right.columns))
             # columns equal on both sides
             equal = frozenset(a & b for a in left.equal for b in right.equal
                               if len(a & b) > 1)
             return NodeFacts(left.arity, cols, equal=equal)
-        if isinstance(node, (Diff, AntiJoin)):
-            left = self.infer(node.left)
-            right = self.infer(node.right)
-            if isinstance(node, AntiJoin):
-                # conditions hold over joined rows: narrowing them reports
-                # their diagnostics; the survivors are left rows
-                self.narrow(left.columns + right.columns, node.conds,
-                            frozenset())
-            return left
         if isinstance(node, Enumerate):
-            child = self.infer(node.child)
+            child = self.infer(node.child, f"{path}.child")
+            if child is None:
+                return None
+            for e in node.inputs:
+                bad = [i for i in colexpr_columns(e) if i > child.arity]
+                if bad:
+                    self.plan_error(
+                        "PL005",
+                        f"enumerate input {e} refers to @{bad[0]} but child "
+                        f"arity is {child.arity}",
+                        path, node)
             input_facts = [self.expr_fact(e, child.columns)
                            for e in node.inputs]
             depth = 1 + max((f.depth for f in input_facts), default=0)
@@ -598,7 +728,9 @@ class _Inferencer:
                         for _ in range(node.out_count))
             return NodeFacts(child.arity + node.out_count,
                              child.columns + out, equal=child.equal)
-        raise TypeError(f"not an algebra node: {node!r}")
+        self.plan_error("PL004", f"not an algebra expression: {node!r}",
+                        path, node)
+        return None
 
     def _infer_lit(self, node: Lit) -> NodeFacts:
         rows = list(node.rows)
@@ -667,14 +799,11 @@ def infer_plan_types(plan: AlgebraExpr, catalog: Mapping[str, int],
     ``catalog`` maps relation names to arities (as everywhere in the
     engine); ``schema``, when given, additionally contributes declared
     column types and scalar-function signatures, enabling the TY001 /
-    TY002 / TY006 checks.  Inference records problems as diagnostics
-    rather than raising; structurally identical subplans share one
-    inference (and one diagnostic).  Results are memoized per
-    (plan, catalog, schema) — all three are immutable values.
-
-    Raises :class:`~repro.errors.EvaluationError` only when the plan
-    references a relation missing from ``catalog`` — the same contract
-    as :func:`repro.algebra.ast.arity_of`.
+    TY002 / TY006 checks.  Inference records problems — type findings
+    and structural ones alike — as diagnostics and never raises;
+    structurally identical subplans share one inference (and one
+    diagnostic).  Results are memoized per (plan, catalog, schema) — all
+    three are immutable values.
     """
     # DatabaseSchema compares by identity; key on its declared content
     # so structurally equal schemas from separate translations share
@@ -693,6 +822,39 @@ def infer_plan_types(plan: AlgebraExpr, catalog: Mapping[str, int],
         _INFER_CACHE.pop(next(iter(_INFER_CACHE)))
     _INFER_CACHE[key] = result
     return result
+
+
+def sanitize_plan(expr: AlgebraExpr, catalog: Mapping[str, int],
+                  expected_arity: int | None = None) -> list[Diagnostic]:
+    """The structural findings (``PL0xx``) of inferring ``expr``; empty
+    means the plan is well-formed (and, when ``expected_arity`` is
+    given, produces rows of exactly that width)."""
+    types = infer_plan_types(expr, catalog)
+    out = [d for d in types.diagnostics if d.code.startswith("PL")]
+    if (expected_arity is not None and types.root is not None
+            and types.root.arity != expected_arity):
+        out.append(Diagnostic(
+            "PL006", ERROR,
+            f"plan produces rows of arity {types.root.arity}, expected "
+            f"{expected_arity}",
+            path="plan", subject=str(expr),
+            suggestion="a rewrite dropped or duplicated an output column"))
+    return out
+
+
+def check_plan(expr: AlgebraExpr, catalog: Mapping[str, int],
+               phase: str = "",
+               expected_arity: int | None = None) -> None:
+    """Raise :class:`PlanInvariantError` if ``expr`` is malformed.
+
+    ``phase`` names the pipeline stage that produced the plan, so the
+    error pinpoints the culprit.
+    """
+    diagnostics = sanitize_plan(expr, catalog, expected_arity)
+    if diagnostics:
+        where = f" after {phase}" if phase else ""
+        raise PlanInvariantError(f"invalid algebra plan{where}",
+                                 diagnostics=diagnostics)
 
 
 def _node_label(node: AlgebraExpr) -> str:
@@ -732,13 +894,9 @@ def render_typed_plan(plan: AlgebraExpr, types: PlanTypes) -> str:
     def emit(node: AlgebraExpr, prefix: str, child_prefix: str) -> None:
         facts = types.facts_of(node)
         lines.append(f"{prefix}{_node_label(node)}  :: {facts.describe()}")
-        children: tuple[AlgebraExpr, ...] = ()
-        if isinstance(node, (Select, Project, Enumerate)):
-            children = (node.child,)
-        elif isinstance(node, (Join, AntiJoin, Product, Union, Diff)):
-            children = (node.left, node.right)
-        for i, child in enumerate(children):
-            last = i == len(children) - 1
+        inputs = children(node)
+        for i, child in enumerate(inputs):
+            last = i == len(inputs) - 1
             branch = "└─ " if last else "├─ "
             cont = "   " if last else "│  "
             emit(child, child_prefix + branch, child_prefix + cont)

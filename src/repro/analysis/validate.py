@@ -1,12 +1,13 @@
-"""Translation validation: certify every optimizer rewrite.
+"""Translation validation: certify every plan rewrite.
 
-The cost-based rewrite pass (:mod:`repro.engine.rewrite`) was
-property-tested on sampled instances; this module *certifies* each run
-statically, in the translation-validation style: every recorded
-:class:`~repro.engine.rewrite.RewriteStep` carries the redex it
+The rewrite engine (:mod:`repro.engine.rewrite`) is property-tested on
+sampled instances; this module *certifies* each run statically, in the
+translation-validation style: every recorded
+:class:`~repro.engine.rewrite.RewriteStep` — translate-time
+normalization and optimizer phases alike — carries the redex it
 replaced (``before``) and its replacement (``after``), and the
 validator independently discharges the rule's soundness obligation —
-plus three global obligations over the whole pass.  A violation is
+plus three global obligations over the whole run.  A violation is
 reported as a :class:`~repro.analysis.diagnostics.Diagnostic` with a
 stable ``TV0xx`` code naming the offending rule and node:
 
@@ -23,6 +24,7 @@ TV007  error     a build-side swap is not neutral (wrong restore map)
 TV008  error     a "shared" subplan occurs fewer than twice
 TV009  error     a recorded step carries no replayable payload
 TV010  info      bijection search budget exceeded; step accepted
+TV011  error     a normalization step's replacement does not replay
 =====  ========  ====================================================
 
 :func:`validate_rewrites` returns the diagnostics;
@@ -58,6 +60,7 @@ from repro.algebra.ast import (
     Select,
     Union,
     arity_of,
+    colexpr_columns,
     compare_values,
     walk_algebra,
 )
@@ -79,6 +82,11 @@ __all__ = [
     "validate_rewrites",
 ]
 
+#: The normalization rules, each checked by :func:`_check_normalization`.
+NORMALIZATION_RULES = frozenset({
+    "project-cascade", "project-identity", "select-merge", "select-join",
+    "unit-product", "anti-join"})
+
 #: Bound on the permutations tried when matching duplicated leaves in a
 #: reordered join region.  Exceeding it yields TV010 (info), never a
 #: false alarm.
@@ -96,13 +104,6 @@ def _is_empty(node: AlgebraExpr) -> bool:
     return isinstance(node, Lit) and not node.rows
 
 
-def _statically_false(conds: Iterable[Condition]) -> bool:
-    return any(
-        isinstance(c.left, CConst) and isinstance(c.right, CConst)
-        and not compare_values(c.op, c.left.value, c.right.value)
-        for c in conds)
-
-
 def _shift(expr: ColExpr, mapping: Callable[[int], int]) -> ColExpr:
     """Remap column coordinates in a ColExpr (independent re-derivation
     of the optimizer's shift, kept local on purpose)."""
@@ -115,6 +116,17 @@ def _shift(expr: ColExpr, mapping: Callable[[int], int]) -> ColExpr:
     return CApp(expr.name, tuple(_shift(a, mapping) for a in expr.args))
 
 
+def _substitute(expr: ColExpr, exprs: Sequence[ColExpr]) -> ColExpr:
+    """``expr`` with each ``@i`` replaced by ``exprs[i-1]`` (independent
+    re-derivation of projection composition)."""
+    if isinstance(expr, Col):
+        return exprs[expr.index - 1]
+    if isinstance(expr, CApp):
+        return CApp(expr.name, tuple(_substitute(a, exprs)
+                                     for a in expr.args))
+    return expr
+
+
 def _shift_cond(cond: Condition,
                 mapping: Callable[[int], int]) -> Condition:
     return Condition(_shift(cond.left, mapping), cond.op,
@@ -125,7 +137,8 @@ def _shift_cond(cond: Condition,
 # Per-rule obligations
 # ---------------------------------------------------------------------------
 
-def _check_fold_const(step: RewriteStep) -> str | None:
+def _check_fold_const(step: RewriteStep,
+                      catalog: Mapping[str, int]) -> str | None:
     data = getattr(step, "data", ())
     if len(data) != 2:
         return "no recorded (condition, decision) payload"
@@ -138,14 +151,100 @@ def _check_fold_const(step: RewriteStep) -> str | None:
     if actual is not bool(decision):
         return (f"recorded decision {decision} for {cond} does not replay "
                 f"(evaluates to {actual})")
+    before, after = step.before, step.after
+    if before is None and after is None:
+        return None  # a decision without a plan change
+    if not isinstance(before, (Select, Join, AntiJoin)) or after is None \
+            or cond not in before.conds:
+        return f"redex does not hold the folded condition {cond}"
+    if decision:
+        rest = before.conds - {cond}
+        want: AlgebraExpr
+        if isinstance(before, Select):
+            want = Select(rest, before.child)
+        elif isinstance(before, Join):
+            want = Join(rest, before.left, before.right)
+        else:
+            want = AntiJoin(before.arity, rest, before.left, before.right)
+        return None if after == want else "tautology fold changed more " \
+                                          "than the condition set"
+    if isinstance(before, AntiJoin):
+        want = before.left
+    else:
+        want = Lit(arity_of(before, catalog), frozenset())
+    return None if after == want else ("contradiction fold does not "
+                                       "return the empty plan")
+
+
+def _is_unit(node: AlgebraExpr) -> bool:
+    return (isinstance(node, Lit) and node.arity == 0
+            and node.rows == frozenset({()}))
+
+
+def _check_normalization(rule: str, before: AlgebraExpr, after: AlgebraExpr,
+                         catalog: Mapping[str, int]) -> str | None:
+    """Each normalization rule's specification, re-derived: the one
+    replacement its redex admits."""
+    want: AlgebraExpr | None = None
+    if rule == "project-cascade":
+        if isinstance(before, Project) and isinstance(before.child, Project):
+            inner = before.child
+            if any(i > len(inner.exprs) for e in before.exprs
+                   for i in colexpr_columns(e)):
+                return "outer projection refers past the inner one"
+            want = Project(tuple(_substitute(e, inner.exprs)
+                                 for e in before.exprs), inner.child)
+    elif rule == "project-identity":
+        if isinstance(before, Project):
+            width = arity_of(before.child, catalog)
+            if before.exprs != tuple(Col(i) for i in range(1, width + 1)):
+                return "projection is not the identity on its input"
+            want = before.child
+    elif rule == "select-merge":
+        if isinstance(before, Select) and not before.conds:
+            want = before.child
+        elif isinstance(before, Select) and isinstance(before.child, Select):
+            want = Select(before.conds | before.child.conds,
+                          before.child.child)
+    elif rule == "select-join":
+        if isinstance(before, Join) and not before.conds:
+            want = Product(before.left, before.right)
+        elif isinstance(before, Select) and isinstance(before.child, Product):
+            want = Join(before.conds, before.child.left, before.child.right)
+        elif isinstance(before, Select) and isinstance(before.child, Join):
+            want = Join(before.conds | before.child.conds,
+                        before.child.left, before.child.right)
+    elif rule == "unit-product":
+        if isinstance(before, (Join, Product)):
+            conds = before.conds if isinstance(before, Join) else frozenset()
+            for unit, other in ((before.left, before.right),
+                                (before.right, before.left)):
+                if _is_unit(unit):
+                    want = Select(conds, other) if conds else other
+                    break
+    elif rule == "anti-join":
+        right = before.right if isinstance(before, Diff) else None
+        if isinstance(right, Project) and isinstance(right.child, Join):
+            assert isinstance(before, Diff)
+            width = arity_of(before.left, catalog)
+            if right.exprs != tuple(Col(i) for i in range(1, width + 1)):
+                return "subtrahend does not project the context's columns"
+            if right.child.left != before.left:
+                return "the joined context is not the difference's left input"
+            want = AntiJoin(width, right.child.conds, before.left,
+                            right.child.right)
+    if want is None:
+        return f"unrecognized {rule} redex {type(before).__name__}"
+    if after != want:
+        return f"replacement is not what {rule} derives from the redex"
     return None
 
 
 def _check_fold_empty(before: AlgebraExpr, after: AlgebraExpr,
                       catalog: Mapping[str, int]) -> str | None:
     if isinstance(before, Select):
-        if not (_is_empty(before.child) or _statically_false(before.conds)):
-            return "selection input is not empty and no condition is false"
+        if not _is_empty(before.child):
+            return "selection input is not empty"
         want = Lit(arity_of(before.child, catalog), frozenset())
         return None if after == want else "replacement is not the empty plan"
     if isinstance(before, Project):
@@ -154,11 +253,8 @@ def _check_fold_empty(before: AlgebraExpr, after: AlgebraExpr,
         want = Lit(len(before.exprs), frozenset())
         return None if after == want else "replacement is not the empty plan"
     if isinstance(before, (Join, Product)):
-        falsified = (isinstance(before, Join)
-                     and _statically_false(before.conds))
-        if not (_is_empty(before.left) or _is_empty(before.right)
-                or falsified):
-            return "neither join input is empty and no condition is false"
+        if not (_is_empty(before.left) or _is_empty(before.right)):
+            return "neither join input is empty"
         width = (arity_of(before.left, catalog)
                  + arity_of(before.right, catalog))
         want = Lit(width, frozenset())
@@ -171,8 +267,7 @@ def _check_fold_empty(before: AlgebraExpr, after: AlgebraExpr,
         return "union fold does not return the non-empty side"
     if isinstance(before, AntiJoin):
         if after == before.left and (_is_empty(before.left)
-                                     or _is_empty(before.right)
-                                     or _statically_false(before.conds)):
+                                     or _is_empty(before.right)):
             return None
         return "anti-join fold keeps the wrong side"
     if isinstance(before, Diff):
@@ -267,9 +362,8 @@ def _check_select_pushdown(before: AlgebraExpr, after: AlgebraExpr,
             if any(i > right_arity for i in c.columns()):
                 return (f"guard violated: right-pushed condition {c} is "
                         "out of range")
-        unshift = (lambda i, off=left_arity: i + off)
-        push_right_orig = frozenset(_shift_cond(c, unshift)
-                                    for c in push_right)
+        push_right_orig = frozenset(
+            _shift_cond(c, lambda i: i + left_arity) for c in push_right)
         if keep | push_left | push_right_orig != before.conds:
             return "condition set changed across the pushdown"
         return None
@@ -335,6 +429,13 @@ def _check_project_pushdown(before: AlgebraExpr, after: AlgebraExpr,
     return "unrecognized projection-pushdown redex"
 
 
+def _relabel(cols: tuple[int, ...]) -> Callable[[int], int]:
+    """Map a node's columns ``@1..@n`` to their region coordinates."""
+    def column(i: int) -> int:
+        return cols[i - 1]
+    return column
+
+
 def _region_projection(n: AlgebraExpr) -> bool:
     return (isinstance(n, Project)
             and all(isinstance(e, Col) for e in n.exprs)
@@ -359,13 +460,11 @@ def _flatten(
         if isinstance(n, (Join, Product)):
             out = walk(n.left) + walk(n.right)
             if isinstance(n, Join):
-                get = (lambda i, cols=out: cols[i - 1])
-                conds.extend(_shift_cond(c, get) for c in n.conds)
+                conds.extend(_shift_cond(c, _relabel(out)) for c in n.conds)
             return out
         if isinstance(n, Select):
             out = walk(n.child)
-            get = (lambda i, cols=out: cols[i - 1])
-            conds.extend(_shift_cond(c, get) for c in n.conds)
+            conds.extend(_shift_cond(c, _relabel(out)) for c in n.conds)
             return out
         if _region_projection(n):
             out = walk(n.child)
@@ -414,7 +513,7 @@ def _check_reorder(before: AlgebraExpr, after: AlgebraExpr,
     a_cond_set = frozenset(a_conds)
     # enumerate assignments: for each group of equal leaves, a
     # permutation of the after-side indices
-    group_items = [(leaf, [i for i, l in enumerate(b_leaves) if l == leaf],
+    group_items = [(leaf, [i for i, b in enumerate(b_leaves) if b == leaf],
                     positions)
                    for leaf, positions in groups.items()]
     budget = BIJECTION_BUDGET
@@ -481,9 +580,6 @@ def _check_build_side(before: AlgebraExpr, after: AlgebraExpr,
 # Driver
 # ---------------------------------------------------------------------------
 
-_PAYLOAD_RULES = {"fold-empty", "pushdown-select", "pushdown-project",
-                  "join-reorder", "build-side"}
-
 _CHECKERS = {
     "fold-empty": ("TV004", _check_fold_empty),
     "pushdown-select": ("TV006", _check_select_pushdown),
@@ -498,11 +594,13 @@ def refinement_diagnostics(before: AlgebraExpr, after: AlgebraExpr,
                            schema: DatabaseSchema | None = None,
                            path: str = "plan") -> list[Diagnostic]:
     """The TV003 obligation alone: ``after``'s root column facts must
-    refine ``before``'s.  Used for whole phases (the simplifier) whose
-    individual rewrites are not step-recorded."""
-    before_types = infer_plan_types(before, catalog, schema)
-    after_types = infer_plan_types(after, catalog, schema)
-    problems = refinement_violations(after_types.root, before_types.root)
+    refine ``before``'s (malformed plans have no facts to compare; their
+    structural findings are reported elsewhere)."""
+    before_root = infer_plan_types(before, catalog, schema).root
+    after_root = infer_plan_types(after, catalog, schema).root
+    if before_root is None or after_root is None:
+        return []
+    problems = refinement_violations(after_root, before_root)
     if not problems:
         return []
     return [Diagnostic(
@@ -551,7 +649,10 @@ def validate_rewrites(original: AlgebraExpr, plan: AlgebraExpr,
         rule = getattr(step, "rule", "")
         path = f"rewrites[{index}]"
         if rule == "fold-const":
-            problem = _check_fold_const(step)
+            try:
+                problem = _check_fold_const(step, catalog)
+            except EvaluationError as err:
+                problem = f"redex is not typable: {err}"
             if problem is not None:
                 diagnostics.append(Diagnostic(
                     code="TV004", severity=ERROR,
@@ -561,7 +662,7 @@ def validate_rewrites(original: AlgebraExpr, plan: AlgebraExpr,
             continue
         if rule == "cse":
             continue  # certified via the shared-subplan check below
-        if rule not in _CHECKERS:
+        if rule not in _CHECKERS and rule not in NORMALIZATION_RULES:
             diagnostics.append(Diagnostic(
                 code="TV009", severity=ERROR,
                 message=f"unknown rewrite rule {rule!r}: no obligation "
@@ -577,9 +678,13 @@ def validate_rewrites(original: AlgebraExpr, plan: AlgebraExpr,
                         "cannot replay its obligation",
                 path=path, subject=str(step)))
             continue
-        code, checker = _CHECKERS[rule]
         try:
-            problem = checker(before, after, catalog)
+            if rule in NORMALIZATION_RULES:
+                code = "TV011"
+                problem = _check_normalization(rule, before, after, catalog)
+            else:
+                code, checker = _CHECKERS[rule]
+                problem = checker(before, after, catalog)
         except EvaluationError as err:
             problem = f"redex is not typable: {err}"
         if problem == "__budget__":

@@ -41,14 +41,15 @@ from repro.engine.operators import (
     ProfiledOp,
     default_batch_size,
 )
-from repro.engine.optimizer import choose_build_sides
 from repro.engine.planner import build_physical_plan
 from repro.engine.rewrite import (
     OptimizationResult,
     RewriteStep,
+    choose_build_sides,
     optimize_enabled,
     optimize_plan,
     shared_subplans,
+    simplify,
 )
 from repro.engine.stats import (
     ENUMERATE_FANOUT,
@@ -68,6 +69,6 @@ __all__ = [
     "collect_stats", "TableStats", "InstanceStats",
     "estimate_cardinality", "choose_build_sides", "ENUMERATE_FANOUT",
     "optimize_plan", "optimize_enabled", "OptimizationResult",
-    "RewriteStep", "shared_subplans",
+    "RewriteStep", "shared_subplans", "simplify",
     "stats_for", "closure_for", "clear_engine_caches", "engine_cache_info",
 ]

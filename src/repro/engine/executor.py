@@ -173,10 +173,7 @@ def execute(expr: AlgebraExpr, instance: Instance,
             shared = outcome.shared or None
     plan_types = None
     if profile is not None:
-        try:
-            plan_types = infer_plan_types(plan, catalog, schema)
-        except EvaluationError:
-            plan_types = None  # un-typable plan: profile without facts
+        plan_types = infer_plan_types(plan, catalog, schema)
     physical = build_physical_plan(plan, instance, interpretation, schema,
                                    counters, profile, batch_size=batch_size,
                                    shared=shared, plan_types=plan_types,

@@ -763,8 +763,8 @@ class AntiJoinOp(PhysicalOp):
     """Rows of the left input with NO right match under the conditions.
 
     The translator's generalized difference (T15) emits
-    ``ctx - project(join(ctx, X))``, which evaluates ``ctx`` twice; the
-    simplifier turns it into an :class:`~repro.algebra.ast.AntiJoin`
+    ``ctx - project(join(ctx, X))``, which evaluates ``ctx`` twice;
+    normalization turns it into an :class:`~repro.algebra.ast.AntiJoin`
     node, which the planner runs as this operator, evaluating ``ctx``
     once.  Equi-conditions build a hash table on the
     right; residual conditions are checked per candidate, short-

@@ -11,7 +11,8 @@ statistics.  This module provides the minimal, classical machinery:
   an algebra expression (equality ``1/distinct``, range ``1/3``,
   equi-join ``|L|·|R| / max(d_L, d_R)``).
 
-Estimates feed the :mod:`repro.engine.optimizer`; they are heuristics,
+Estimates feed the cost-based rules of :mod:`repro.engine.rewrite`;
+they are heuristics,
 so the tests pin their *monotonicity* and order-of-magnitude behaviour
 rather than exact values.
 """

@@ -154,11 +154,11 @@ class TransformationStuckError(TranslationError):
 
 
 class PlanInvariantError(TranslationError):
-    """The algebra plan sanitizer found a structurally invalid plan.
+    """Plan verification found a structurally invalid plan.
 
     Raised only under ``verify_plans=True`` (see
-    :mod:`repro.analysis.sanitizer`): a pipeline phase or simplifier
-    rewrite emitted a plan with out-of-range coordinates, mismatched
+    :func:`repro.analysis.typeinfer.check_plan`): a translation or
+    rewrite phase emitted a plan with out-of-range coordinates, mismatched
     union/difference arities, or conditions over missing columns.  The
     ``diagnostics`` attribute lists every violation found.
     """

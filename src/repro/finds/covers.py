@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Iterable
 
-from repro.finds.closure import attribute_closure, entails
+from repro.finds.closure import attribute_closure
 from repro.finds.find import FinD
 
 __all__ = [

@@ -25,7 +25,6 @@ from repro.core.queries import CalculusQuery
 from repro.data.domain import adom, term_closure_applications
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation, perturbed_outside
-from repro.data.relation import Relation
 from repro.semantics.eval_calculus import (
     evaluate_query,
     evaluation_universe,

@@ -46,7 +46,6 @@ from repro.core.formulas import (
     free_variables,
 )
 from repro.core.queries import CalculusQuery
-from repro.core.terms import Var
 from repro.errors import TranslationError
 from repro.semantics.levels import edi_level_query
 from repro.translate.compiler import TRUE_CONTEXT_PLAN, _term_colexpr

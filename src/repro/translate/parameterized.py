@@ -33,14 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.algebra.ast import (AlgebraExpr, AntiJoin, Diff, Join, Lit, Params,
-                               Product, Project, Select, Union)
-from repro.algebra.simplifier import simplify
+from repro.algebra.ast import AlgebraExpr, Lit, Params, Project, children, with_children
 from repro.core.formulas import Formula, free_variables
 from repro.core.parser import parse_formula
 from repro.core.queries import CalculusQuery
 from repro.core.schema import DatabaseSchema
 from repro.core.terms import Term, Var, variables as term_variables
+from repro.engine.rewrite import simplify
 from repro.errors import FormulaError, NotEmAllowedError
 from repro.safety.em_allowed import em_allowed_violations
 from repro.semantics.eval_calculus import query_schema
@@ -151,8 +150,7 @@ def translate_parameterized(query: ParameterizedQuery,
     out_exprs = tuple(
         _term_colexpr(Var(p), positions) for p in query.params
     ) + tuple(_term_colexpr(t, positions) for t in query.head)
-    from repro.algebra.ast import Project as _Project
-    plan: AlgebraExpr = _Project(out_exprs, compiled.plan)
+    plan: AlgebraExpr = Project(out_exprs, compiled.plan)
     trace.record("head-project", "algebra", "project parameters + head terms")
 
     resolved = query_schema(query.as_plain_query(), schema)
@@ -169,21 +167,8 @@ def bind_parameters(plan: AlgebraExpr, rows: Iterable[tuple]) -> AlgebraExpr:
     def go(node: AlgebraExpr) -> AlgebraExpr:
         if isinstance(node, Params):
             return Lit(node.arity, rows)
-        if isinstance(node, Project):
-            return Project(node.exprs, go(node.child))
-        if isinstance(node, Select):
-            return Select(node.conds, go(node.child))
-        if isinstance(node, Join):
-            return Join(node.conds, go(node.left), go(node.right))
-        if isinstance(node, Union):
-            return Union(go(node.left), go(node.right))
-        if isinstance(node, Diff):
-            return Diff(go(node.left), go(node.right))
-        if isinstance(node, AntiJoin):
-            return AntiJoin(node.arity, node.conds, go(node.left),
-                            go(node.right))
-        if isinstance(node, Product):
-            return Product(go(node.left), go(node.right))
-        return node
+        inputs = children(node)
+        return with_children(node, [go(i) for i in inputs]) if inputs \
+            else node
 
     return go(plan)

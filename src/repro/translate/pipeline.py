@@ -11,7 +11,8 @@ plan together with the full transformation trace:
 4. RANF + algebra emission (T10, T13–T16,
    :mod:`repro.translate.compiler`), followed by the head projection
    (output terms may apply functions — the paper's q1 compiles to
-   ``project([g(f(@1))], R)``) and algebraic cleanup.
+   ``project([g(f(@1))], R)``) and algebraic cleanup — the
+   normalization rules of :mod:`repro.engine.rewrite`.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algebra.ast import AlgebraExpr, Project, algebra_size
-from repro.algebra.simplifier import simplify
-from repro.analysis.sanitizer import check_plan, verify_plans_enabled
+from repro.analysis.typeinfer import check_plan, verify_plans_enabled
 from repro.analysis.validate import check_rewrites
 from repro.core.formulas import Formula
 from repro.core.queries import CalculusQuery
 from repro.core.schema import DatabaseSchema
+from repro.engine.rewrite import RewriteStep, simplify
 from repro.errors import TranslationError
 from repro.obs.tracing import NULL_TRACER, SpanTracer
 from repro.safety.em_allowed import require_em_allowed
@@ -96,23 +97,25 @@ def translate_query(query: CalculusQuery,
     simplify — nested under a ``translate`` root span; ``None`` (the
     default) uses the shared disabled tracer and adds no overhead.
 
-    ``verify_plans`` runs the algebra plan sanitizer
-    (:mod:`repro.analysis.sanitizer`) after the compile phase and after
-    every simplifier rewrite, raising
-    :class:`~repro.errors.PlanInvariantError` on any structurally
-    invalid plan; ``None`` (the default) defers to the module-wide
-    default (:func:`repro.analysis.sanitizer.set_verify_plans` — off in
+    ``verify_plans`` checks the plan's structure
+    (:func:`repro.analysis.typeinfer.check_plan`) after the compile and
+    simplify phases, raising :class:`~repro.errors.PlanInvariantError`
+    on any structurally invalid plan; ``None`` (the default) defers to
+    the module-wide default
+    (:func:`repro.analysis.typeinfer.set_verify_plans` — off in
     production, on throughout the test suite), so the disabled path
     costs one boolean test.
 
     ``validate_rewrites`` additionally certifies the simplify phase with
-    the translation validator (:mod:`repro.analysis.validate`): the
-    simplified plan's root column facts must *refine* the compiled
-    plan's (the TV003 obligation), and the phase must neither change the
-    root arity nor introduce relation scans (TV001/TV002).  Any
-    violation raises :class:`~repro.errors.RewriteValidationError`.
-    ``None`` (the default) follows the resolved ``verify_plans`` value,
-    so turning verification off disables the validator too.
+    the translation validator (:mod:`repro.analysis.validate`): every
+    recorded normalization step is replayed, the simplified plan's root
+    column facts must *refine* the compiled plan's (TV003), and the
+    phase must neither change the root arity nor introduce relation
+    scans (TV001/TV002).  Any violation raises
+    :class:`~repro.errors.RewriteValidationError`.  ``None`` (the
+    default) follows the resolved ``verify_plans`` value, so turning
+    verification off disables the validator too.  The steps are dropped
+    once validated: translation results carry the plan only.
     """
     if tracer is None:
         tracer = NULL_TRACER
@@ -156,17 +159,15 @@ def translate_query(query: CalculusQuery,
                        expected_arity=query.arity)
         with tracer.span("simplify") as simplify_span:
             compiled_plan = plan
-            plan = simplify(plan, catalog, verify=verify)
+            steps: list[RewriteStep] = []
+            plan = simplify(plan, catalog, steps)
             if verify:
                 check_plan(plan, catalog, phase="simplify",
                            expected_arity=query.arity)
             validate = (validate_rewrites if validate_rewrites is not None
                         else verify)
             if validate:
-                # simplifier rewrites are not step-recorded, so the
-                # validator discharges the phase-level obligations
-                # only: arity, relation provenance, fact refinement.
-                check_rewrites(compiled_plan, plan, steps=(), shared=(),
+                check_rewrites(compiled_plan, plan, steps, shared=(),
                                catalog=catalog, schema=resolved_schema,
                                phase="simplify")
             if tracer.enabled:

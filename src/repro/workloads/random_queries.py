@@ -154,7 +154,6 @@ def random_em_allowed_query(seed: int, max_head: int = 3,
                     for old, new in zip(other_bounded, head)
                 }
                 other = substitute(other, mapping)
-                rest = [v for v in other_bounded[len(head):]]
                 body_a = make_exists(
                     [v for v in bounded if v not in head], body)
                 extra = free_variables(other) - set(head)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sanitizer import set_verify_plans
+from repro.analysis.typeinfer import set_verify_plans
 from repro.core.schema import DatabaseSchema
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation

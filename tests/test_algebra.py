@@ -25,7 +25,7 @@ from repro.algebra.ast import (
 )
 from repro.algebra.evaluator import EvalStats, evaluate
 from repro.algebra.printer import explain, to_algebra_text
-from repro.algebra.simplifier import simplify
+from repro.engine.rewrite import simplify
 from repro.core.schema import DatabaseSchema
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation

@@ -1,5 +1,6 @@
-"""Tests for the algebra plan sanitizer (repro.analysis.sanitizer) and
-its wiring into the translation pipeline and simplifier."""
+"""Tests for plan verification — the structural findings (PL001-PL006)
+of plan type inference (repro.analysis.typeinfer) — and its wiring into
+the translation pipeline."""
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.algebra.ast import (
     Select,
     Union,
 )
-from repro.analysis.sanitizer import (
+from repro.analysis.typeinfer import (
     check_plan,
     sanitize_plan,
     set_verify_plans,
@@ -121,23 +122,15 @@ class TestCheckPlan:
             set_verify_plans(previous)
 
 
-def _arity_corrupting_rewrite(simplifier):
-    """A seeded mutation of ``_rewrite_once``: the top-level rewrite
-    silently drops the last projection column.  The plan stays
-    structurally consistent — only the plan/query arity contract breaks,
-    which is exactly what PL006 exists to catch.  (``_rewrite_once`` is
-    self-recursive, so a depth guard confines the corruption to the
-    round's final result.)"""
-    original = simplifier._rewrite_once
-    depth = {"n": 0}
+def _arity_corrupting_simplify(simplify):
+    """A seeded mutation of the simplify phase: its result silently
+    drops the last projection column.  The plan stays structurally
+    consistent — only the plan/query arity contract breaks, which is
+    exactly what PL006 exists to catch."""
 
-    def corrupting(expr, catalog):
-        depth["n"] += 1
-        try:
-            out = original(expr, catalog)
-        finally:
-            depth["n"] -= 1
-        if depth["n"] == 0 and isinstance(out, Project) and len(out.exprs) > 1:
+    def corrupting(expr, catalog, steps=None):
+        out = simplify(expr, catalog, steps)
+        if isinstance(out, Project) and len(out.exprs) > 1:
             return Project(out.exprs[:-1], out.child)
         return out
 
@@ -148,9 +141,9 @@ class TestPipelineWiring:
     def test_seeded_simplifier_mutation_is_caught(self, monkeypatch):
         """Acceptance: an arity-corrupting rewrite — dropping the last
         projection column — must be caught under verify_plans=True."""
-        import repro.algebra.simplifier as simplifier
-        monkeypatch.setattr(simplifier, "_rewrite_once",
-                            _arity_corrupting_rewrite(simplifier))
+        import repro.translate.pipeline as pipeline
+        monkeypatch.setattr(pipeline, "simplify",
+                            _arity_corrupting_simplify(pipeline.simplify))
         q = parse_query("{ x, y | R2(x, y) & S(x) }")
         with pytest.raises(PlanInvariantError) as exc:
             translate_query(q, verify_plans=True)
@@ -158,9 +151,9 @@ class TestPipelineWiring:
         assert "simplif" in str(exc.value)  # names the culprit phase
 
     def test_mutation_unnoticed_when_verification_off(self, monkeypatch):
-        import repro.algebra.simplifier as simplifier
-        monkeypatch.setattr(simplifier, "_rewrite_once",
-                            _arity_corrupting_rewrite(simplifier))
+        import repro.translate.pipeline as pipeline
+        monkeypatch.setattr(pipeline, "simplify",
+                            _arity_corrupting_simplify(pipeline.simplify))
         q = parse_query("{ x, y | R2(x, y) & S(x) }")
         result = translate_query(q, verify_plans=False)  # no error raised
         assert result.plan is not None

@@ -12,7 +12,6 @@ from repro.data.interpretation import Interpretation
 from repro.engine.executor import execute
 from repro.errors import EvaluationError, NotEmAllowedError, SchemaError
 from repro.finds.annotations import (
-    AnnotationRegistry,
     FunctionAnnotation,
     nonneg_sum_registry,
 )

@@ -33,19 +33,19 @@ MODULES = PACKAGES + [
     "repro.safety.pushnot", "repro.safety.bd", "repro.safety.gen",
     "repro.safety.em_allowed", "repro.safety.comparators",
     "repro.algebra.ast", "repro.algebra.evaluator", "repro.algebra.printer",
-    "repro.algebra.simplifier",
     "repro.translate.enf", "repro.translate.compiler", "repro.translate.ranf",
     "repro.translate.pipeline", "repro.translate.parameterized",
     "repro.translate.baseline_adom", "repro.translate.trace",
     "repro.semantics.eval_calculus", "repro.semantics.levels",
     "repro.semantics.domain_independence",
     "repro.engine.operators", "repro.engine.planner", "repro.engine.executor",
-    "repro.engine.stats", "repro.engine.optimizer", "repro.engine.batches",
-    "repro.engine.compile",
+    "repro.engine.stats", "repro.engine.batches", "repro.engine.compile",
+    "repro.engine.rewrite",
     "repro.obs.tracing", "repro.obs.metrics", "repro.obs.profile",
     "repro.obs.explain", "repro.obs.export",
     "repro.analysis.diagnostics", "repro.analysis.linter",
-    "repro.analysis.sanitizer",
+    "repro.analysis.typeinfer", "repro.analysis.validate",
+    "repro.analysis.mutation",
     "repro.service.normalize", "repro.service.cache",
     "repro.service.service", "repro.service.bench",
     "repro.workloads.gallery", "repro.workloads.practical",

@@ -26,7 +26,6 @@ from repro.data.interpretation import UNDEFINED, Interpretation
 from repro.data.relation import Relation
 from repro.engine.batches import (
     COLUMNAR_UNAVAILABLE,
-    Column,
     ColumnBatch,
     ColumnarFallback,
     Const,

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.formulas import free_variables
 from repro.core.parser import parse_formula
-from repro.finds.closure import attribute_closure, entails
+from repro.finds.closure import entails
 from repro.finds.find import find
 from repro.safety.bd import bd, bd_bounded, bd_naive
 from repro.semantics.eval_calculus import satisfies

@@ -8,7 +8,7 @@ from repro.algebra.ast import compare_values
 from repro.algebra.evaluator import evaluate
 from repro.algebra.printer import to_algebra_text
 from repro.core.builders import query as build_query, rels, variables
-from repro.core.formulas import Compare, Not
+from repro.core.formulas import Compare
 from repro.core.parser import parse_formula, parse_query
 from repro.core.printer import to_text
 from repro.core.terms import Var
@@ -16,7 +16,6 @@ from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
 from repro.engine.executor import execute
 from repro.errors import FormulaError, NotEmAllowedError
-from repro.finds.find import find
 from repro.safety import bd, em_allowed
 from repro.semantics.eval_calculus import evaluate_query
 from repro.translate.baseline_adom import translate_query_adom

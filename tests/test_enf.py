@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from repro.core.formulas import And, Exists, Forall, Not, Or, free_variables, subformulas
+from repro.core.formulas import And, Exists, Not, Or, free_variables
 from repro.core.parser import parse_formula
 from repro.semantics.eval_calculus import satisfies
 from repro.translate.enf import is_enf, to_enf

@@ -1,7 +1,6 @@
 """Unit and property tests for finiteness dependencies: the FinD type,
 refinement order, closure/entailment, and reduced covers."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.finds.closure import (

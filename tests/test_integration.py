@@ -20,9 +20,9 @@ class TestPublicApiWorkflow:
     def test_readme_quickstart(self):
         q = parse_query("{ x | R(x) & exists y (f(x) = y & ~R(y)) }")
         result = translate_query(q)
-        I = Instance.of(R=[(1,), (2,)])
+        inst = Instance.of(R=[(1,), (2,)])
         F = Interpretation({"f": lambda v: v + 1})
-        answer = evaluate(result.plan, I, F, schema=result.schema)
+        answer = evaluate(result.plan, inst, F, schema=result.schema)
         # f(1)=2 is in R -> 1 excluded; f(2)=3 not in R -> 2 qualifies
         assert sorted(answer.rows) == [(2,)]
 
@@ -38,9 +38,9 @@ class TestPublicApiWorkflow:
         schema = DatabaseSchema.of({"EMP": 2}, {"bump": 1})
         q = parse_query("{ n, b | exists s (EMP(n, s) & bump(s) = b) }", schema)
         res = translate_query(q, schema=schema)
-        I = Instance.of(EMP=[("ann", 10), ("bob", 20)])
+        inst = Instance.of(EMP=[("ann", 10), ("bob", 20)])
         F = Interpretation({"bump": lambda s: s + 5 if isinstance(s, int) else 0})
-        out = evaluate(res.plan, I, F, schema=res.schema)
+        out = evaluate(res.plan, inst, F, schema=res.schema)
         assert out.rows == {("ann", 15), ("bob", 25)}
 
     def test_refusal_has_actionable_reasons(self):
@@ -50,10 +50,10 @@ class TestPublicApiWorkflow:
 
     def test_reference_and_plan_agree_via_public_api(self):
         q = parse_query("{ x, y | (R(x) & f(x) = y) | (S(y) & g(y) = x) }")
-        I = Instance.of(R=[(1,), (4,)], S=[(2,)])
+        inst = Instance.of(R=[(1,), (4,)], S=[(2,)])
         F = Interpretation({"f": lambda v: v * 2, "g": lambda v: v * 3})
         res = translate_query(q)
-        assert evaluate(res.plan, I, F, schema=res.schema) == evaluate_query(q, I, F)
+        assert evaluate(res.plan, inst, F, schema=res.schema) == evaluate_query(q, inst, F)
 
     def test_plan_text_is_paper_notation(self):
         res = translate_query(parse_query("{ g(f(x)) | R(x) }"))
@@ -87,13 +87,13 @@ class TestEndToEndWalkthrough:
         assert res.trace.count("T10") == 1
 
         # 4. and the plan computes the right answer on data
-        I, F = gallery_instance(), standard_gallery_interp()
-        assert evaluate(res.plan, I, F, schema=res.schema) == evaluate_query(q, I, F)
+        inst, F = gallery_instance(), standard_gallery_interp()
+        assert evaluate(res.plan, inst, F, schema=res.schema) == evaluate_query(q, inst, F)
 
         # 5. the physical engine agrees too
         from repro.engine import execute
-        assert execute(res.plan, I, F, schema=res.schema).result == \
-            evaluate_query(q, I, F)
+        assert execute(res.plan, inst, F, schema=res.schema).result == \
+            evaluate_query(q, inst, F)
 
 
 class TestErrorHierarchy:

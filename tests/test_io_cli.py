@@ -278,8 +278,8 @@ class TestCliOptimize:
         # summary line also carries wall-clock timings, which differ
         # run to run)
         assert tuned.split("result rows")[0] == plain.split("result rows")[0]
-        tuned_rows = [l for l in tuned.splitlines() if l.startswith("  ")]
-        plain_rows = [l for l in plain.splitlines() if l.startswith("  ")]
+        tuned_rows = [ln for ln in tuned.splitlines() if ln.startswith("  ")]
+        plain_rows = [ln for ln in plain.splitlines() if ln.startswith("  ")]
         assert tuned_rows == plain_rows
 
     def test_analyze_reports_rewrites_line(self, tmp_path, capsys):

@@ -20,12 +20,11 @@ from repro.algebra.ast import (
     Select,
 )
 from repro.algebra.evaluator import evaluate
-from repro.core.parser import parse_query
 from repro.data.generators import integer_universe, random_relation
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
 from repro.engine.executor import execute
-from repro.engine.optimizer import choose_build_sides
+from repro.engine.rewrite import choose_build_sides
 from repro.engine.stats import (
     ENUMERATE_FANOUT,
     collect_stats,

@@ -3,11 +3,11 @@ generalization and run-time parameter binding."""
 
 import pytest
 
-from repro.algebra.ast import Lit, Params, walk_algebra
+from repro.algebra.ast import Col, Enumerate, Lit, Params, Product, walk_algebra
 from repro.algebra.evaluator import evaluate
 from repro.core.parser import parse_formula
 from repro.core.schema import DatabaseSchema
-from repro.core.terms import Func, Var
+from repro.core.terms import Var
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
 from repro.engine.executor import execute
@@ -160,3 +160,10 @@ class TestBindingAndEvaluation:
         via_sets = evaluate(plan, inst, interp, schema=result.schema)
         via_engine = execute(plan, inst, interp, schema=result.schema).result
         assert via_sets == via_engine
+
+    def test_binds_below_enumerate_and_product(self):
+        bound = Lit(1, frozenset({(3,)}))
+        assert bind_parameters(Enumerate("e", (Col(1),), 1, Params(1)),
+                               [(3,)]) == Enumerate("e", (Col(1),), 1, bound)
+        assert bind_parameters(Product(Params(1), Params(1)), [(3,)]) == \
+            Product(bound, bound)

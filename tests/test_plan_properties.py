@@ -23,12 +23,12 @@ from repro.algebra.ast import (
     arity_of,
 )
 from repro.algebra.evaluator import evaluate
-from repro.algebra.simplifier import simplify
+from repro.engine.rewrite import simplify
 from repro.data.generators import integer_universe, random_relation
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
 from repro.engine.executor import execute
-from repro.engine.optimizer import choose_build_sides
+from repro.engine.rewrite import choose_build_sides
 from repro.engine.stats import collect_stats
 
 CATALOG = {"A": 1, "B": 2, "C": 2}
@@ -134,18 +134,24 @@ class TestSimplifierProperty:
     @_SETTINGS
     @given(st.integers(0, 10_000))
     def test_simplify_arity_preserving_under_sanitizer(self, plan_seed):
-        """The plan sanitizer accepts every random plan before and
-        after simplification, with the same expected arity — and the
-        verifying simplify (sanitizer after every rewrite round)
-        reaches the same fixed point as the plain one."""
-        from repro.analysis.sanitizer import sanitize_plan
+        """Plan verification accepts every random plan before and after
+        simplification, with the same expected arity; every recorded
+        normalization step preserves its redex's arity and replays in
+        the translation validator."""
+        from repro.analysis.typeinfer import sanitize_plan
+        from repro.analysis.validate import validate_rewrites
         plan = random_plan(plan_seed)
         expected = arity_of(plan, CATALOG)
         assert sanitize_plan(plan, CATALOG, expected_arity=expected) == []
-        simplified = simplify(plan, CATALOG, verify=True)
+        steps = []
+        simplified = simplify(plan, CATALOG, steps)
         assert sanitize_plan(simplified, CATALOG,
                              expected_arity=expected) == []
-        assert simplified == simplify(plan, CATALOG)
+        for step in steps:
+            assert sanitize_plan(step.after, CATALOG, expected_arity=arity_of(
+                step.before, CATALOG)) == [], step
+        assert [d for d in validate_rewrites(plan, simplified, steps, (),
+                                             CATALOG) if d.is_error] == []
 
 
 class TestEnginePlanProperty:

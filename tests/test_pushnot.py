@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core.formulas import And, Exists, Forall, Not, Or
+from repro.core.formulas import Exists, Forall, Not, Or
 from repro.core.parser import parse_formula
-from repro.data.instance import Instance
-from repro.data.interpretation import Interpretation
 from repro.safety.pushnot import pushnot, pushnot_applicable
 from repro.semantics.eval_calculus import satisfies
 

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.builders import exists, forall, funcs, query, rels, variables
 from repro.core.parser import parse_query
-from repro.core.queries import CalculusQuery
-from repro.core.terms import Const, Func, Var
+from repro.core.terms import Const
 from repro.errors import FormulaError
 
 

@@ -27,7 +27,7 @@ from repro.algebra.ast import (
     Union,
     walk_algebra,
 )
-from repro.algebra.simplifier import simplify
+from repro.engine.rewrite import simplify
 from repro.data.generators import random_instance, standard_functions
 from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
@@ -51,9 +51,25 @@ from repro.workloads.gallery import (
     gallery_instance,
     standard_gallery_interp,
 )
+from repro.workloads.families import join_chain_query
 from repro.workloads.random_queries import random_em_allowed_query
 
 INTERP = Interpretation({}, {})
+
+
+def _skewed_chain_instance(n: int, big: int = 600, fanout: int = 60,
+                           small: int = 5) -> Instance:
+    """E13's data for ``join_chain_query(n)``: ``E0 ⋈ E1`` yields
+    ``big * fanout`` rows, each later ``Ek`` keeps ``small`` of them."""
+    keys = big // fanout
+    rels: dict[str, list[tuple]] = {
+        "E0": [(i, i % keys) for i in range(big)],
+        "E1": [(j % keys, j) for j in range(big)],
+    }
+    for k in range(2, n):
+        rels[f"E{k}"] = [(j, j % small) for j in range(small)]
+    rels["B"] = [(0, 0)]
+    return Instance.of(**rels)
 
 
 def _opt(expr, instance, schema=None):
@@ -219,6 +235,22 @@ class TestJoinReorder:
         assert on.result == off.result
         assert (on.counters.rows.get("hash-join", 0)
                 < off.counters.rows.get("hash-join", 0))
+        # E13's skewed chains: E0 ⋈ E1 (the translated order) explodes
+        # to 36,000 rows, which reordering never materializes
+        for n, want_on, want_off in ((3, 305, 36_300), (4, 310, 36_600),
+                                     (5, 315, 36_900)):
+            query = join_chain_query(n)
+            instance = _skewed_chain_instance(n)
+            plan = translate_query(query).plan
+            for batch_size in (1, 1024):
+                for repr_ in ("tuple", "column"):
+                    rows = [execute(plan, instance, INTERP, optimize=opt,
+                                    batch_size=batch_size,
+                                    batch_repr=repr_).counters.rows.get(
+                                        "hash-join", 0)
+                            for opt in (True, False)]
+                    assert rows == [want_on, want_off], (n, batch_size,
+                                                         repr_)
 
     def test_identity_order_reports_no_reorder(self):
         # already smallest-first: greedy keeps the order and stays quiet

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.parser import parse_formula, parse_query
 from repro.data.instance import Instance
-from repro.data.interpretation import Interpretation
 from repro.data.relation import Relation
 from repro.errors import EvaluationError
 from repro.semantics.domain_independence import (

@@ -5,8 +5,6 @@ constants, keys, provenance), the term_k finiteness certificate, the
 TY0xx diagnostics, refinement checking, and the typed-plan rendering.
 """
 
-import pytest
-
 from repro.algebra.ast import (
     AdomK,
     CApp,
@@ -40,7 +38,6 @@ from repro.core.schema import (
     RelationSchema,
 )
 from repro.data.interpretation import UNDEFINED
-from repro.errors import EvaluationError
 
 CATALOG = {"R": 2, "S": 1, "T": 2}
 
@@ -106,9 +103,25 @@ class TestLeafInference:
         types = infer_plan_types(Rel("R"), CATALOG)
         assert all(c.vtype == TYPE_ANY for c in types.root.columns)
 
-    def test_unknown_relation_raises(self):
-        with pytest.raises(EvaluationError):
-            infer_plan_types(Rel("Nope"), CATALOG)
+    def test_unknown_relation_is_reported(self):
+        types = infer_plan_types(Rel("Nope"), CATALOG)
+        assert types.root is None
+        assert [d.code for d in types.diagnostics] == ["PL004"]
+
+    def test_out_of_range_column_is_reported_not_raised(self):
+        types = infer_plan_types(Project((Col(3),), Rel("R")), CATALOG)
+        assert types.root is not None and types.root.arity == 1
+        assert [d.code for d in types.diagnostics] == ["PL001"]
+        types = infer_plan_types(
+            Select(frozenset({Condition(Col(1), "=", Col(7))}), Rel("R")),
+            CATALOG)
+        assert [d.code for d in types.diagnostics] == ["PL003"]
+
+    def test_mismatched_union_is_reported_not_zipped(self):
+        plan = Union(Rel("R"), Project((Col(1),), Rel("R")))
+        types = infer_plan_types(plan, CATALOG)
+        assert types.root is None
+        assert [d.code for d in types.diagnostics] == ["PL002"]
 
     def test_empty_lit_is_never(self):
         types = infer_plan_types(Lit(2, frozenset()), CATALOG)

@@ -16,6 +16,7 @@ from repro.algebra.ast import (
     CConst,
     Col,
     Condition,
+    Enumerate,
     Lit,
     Product,
     Project,
@@ -215,7 +216,12 @@ class TestMutationHarness:
         assert all(r.codes for r in report.records if r.caught)
         exercised = {c for r in report.records for c in r.codes}
         assert {"TV001", "TV004", "TV005", "TV006", "TV007",
-                "TV008"} <= exercised
+                "TV008", "TV011"} <= exercised
+        # every normalization rule has an operator that corrupts it
+        normalization = {"project-cascade", "project-identity",
+                         "select-merge", "select-join", "unit-product",
+                         "anti-join"}
+        assert normalization <= {r.rule for r in report.records}
         RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         (RESULTS_DIR / "mutation_harness.md").write_text(report.render())
 
@@ -223,6 +229,15 @@ class TestMutationHarness:
     def test_catch_rate_stable_across_seeds(self, seed):
         report = run_mutation_harness(seed=seed)
         assert report.catch_rate >= 0.95, report.render()
+
+    def test_replace_first_reaches_every_input(self):
+        from repro.analysis.mutation import _replace_first
+
+        plan = Product(Rel("T"), Enumerate("e", (Col(1),), 1, Rel("R")))
+        out = _replace_first(plan, lambda n: n == Rel("R"),
+                             lambda n: Rel("U"))
+        assert out == Product(Rel("T"),
+                              Enumerate("e", (Col(1),), 1, Rel("U")))
 
 
 class TestExecutorFallbackEvidence:
@@ -276,7 +291,7 @@ class TestPipelineValidation:
         # Same arity, declared relation: slips past the arity-checking
         # sanitizer but not past provenance validation.
         monkeypatch.setattr(pipeline, "simplify",
-                            lambda plan, catalog, verify=True: Rel("S2"))
+                            lambda plan, catalog, steps=None: Rel("S2"))
         query, schema = self._query_and_schema()
         with pytest.raises(RewriteValidationError) as exc:
             pipeline.translate_query(query, schema=schema,
@@ -287,7 +302,7 @@ class TestPipelineValidation:
         import repro.translate.pipeline as pipeline
 
         monkeypatch.setattr(pipeline, "simplify",
-                            lambda plan, catalog, verify=True: Rel("S2"))
+                            lambda plan, catalog, steps=None: Rel("S2"))
         query, schema = self._query_and_schema()
         result = pipeline.translate_query(query, schema=schema,
                                           verify_plans=True,
