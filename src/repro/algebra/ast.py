@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
+from repro.data.interpretation import UNDEFINED
 from repro.errors import EvaluationError
 
 __all__ = [
@@ -205,7 +206,6 @@ def compare_values(op: str, left, right) -> bool:
     ordering predicate false and ``!=`` true — an atom involving an
     undefined application never holds, so its negation does.
     """
-    from repro.data.interpretation import UNDEFINED
     if left is UNDEFINED or right is UNDEFINED:
         return op == "!="
     if op == "=":

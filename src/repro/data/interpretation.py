@@ -5,7 +5,7 @@ an interpretation ``F`` assigns to each function symbol of the schema a
 total function over the underlying domain.  This module provides:
 
 * :class:`Interpretation` — wraps Python callables, with call counting
-  (used by the benchmark harness) and optional memoization;
+  (used by the benchmark harness);
 * :class:`TabulatedInterpretation` — a finite table plus fallback,
   the building block for the embedded-domain-independence experiments,
   where two interpretations must *agree on a neighborhood* of the active
@@ -73,17 +73,15 @@ class Interpretation:
     counting wrapper, so ``interp.call_count("f")`` reports how many
     times ``f`` was applied — the paper's practical discussion (Section 9)
     is about limiting exactly these applications, and benchmark E6 counts
-    them.
+    them.  Callers that apply :meth:`raw` functions themselves report
+    their applications through :meth:`add_calls`.
     """
 
     def __init__(self, functions: Mapping[str, Callable], name: str = "",
-                 memoize: bool = False,
                  enumerators: Mapping[str, Callable] | None = None):
         self.name = name
         self._functions: dict[str, Callable] = dict(functions)
         self._enumerators: dict[str, Callable] = dict(enumerators or {})
-        self._memoize = memoize
-        self._cache: dict[tuple[str, tuple], Hashable] = {}
         self._calls: dict[str, int] = {fname: 0 for fname in self._functions}
 
     # -- mapping protocol -------------------------------------------------------
@@ -96,13 +94,6 @@ class Interpretation:
 
         def wrapper(*args):
             self._calls[name] = self._calls.get(name, 0) + 1
-            if self._memoize:
-                key = (name, args)
-                if key in self._cache:
-                    return self._cache[key]
-                value = fn(*args)
-                self._cache[key] = value
-                return value
             return fn(*args)
 
         return wrapper
@@ -115,7 +106,7 @@ class Interpretation:
         return tuple(self._functions)
 
     def raw(self, name: str) -> Callable:
-        """The underlying callable, without counting or memoization."""
+        """The underlying callable, without counting."""
         try:
             return self._functions[name]
         except KeyError:
@@ -141,6 +132,12 @@ class Interpretation:
         if name is None:
             return sum(self._calls.values())
         return self._calls.get(name, 0)
+
+    def add_calls(self, name: str, n: int) -> None:
+        """Count ``n`` applications of ``name`` made through :meth:`raw`
+        (the engine's kernels count locally and report once per
+        batch)."""
+        self._calls[name] = self._calls.get(name, 0) + n
 
     def reset_counts(self) -> None:
         self._calls = {fname: 0 for fname in self._functions}

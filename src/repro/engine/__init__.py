@@ -12,8 +12,10 @@ disables), fed by cached per-instance statistics and term closures
 (:mod:`repro.engine.caches`).
 
 The batch representation operators exchange is pluggable
-(:mod:`repro.engine.batches`): plain tuple lists (default) or
-NumPy-backed column batches with vectorized per-operator kernels
+(:mod:`repro.engine.batches`): plain tuple lists (default), processed
+by kernels generated once per expression shape
+(:mod:`repro.engine.compile`), or NumPy-backed column batches with
+vectorized per-operator kernels
 (``batch_repr="column"`` / ``REPRO_BATCH_REPR``), falling back to
 tuple batches with a coded diagnostic when NumPy is unavailable.
 """

@@ -45,6 +45,8 @@ from collections import OrderedDict
 from threading import Lock
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.algebra.ast import compare_values
+from repro.data.interpretation import UNDEFINED
 from repro.errors import EvaluationError
 
 __all__ = [
@@ -247,7 +249,6 @@ class Column:
         masked slots come back as :data:`~repro.data.interpretation.UNDEFINED`."""
         out = self.decoded().tolist()
         if self.mask is not None and self.mask.any():
-            from repro.data.interpretation import UNDEFINED
             for i in self.mask.nonzero()[0].tolist():
                 out[i] = UNDEFINED
         return out
@@ -635,7 +636,6 @@ def compare_columns(op: str, left: "Column | Const",
     np = _numpy()
     if np is None:
         raise ColumnarFallback("numpy unavailable")
-    from repro.algebra.ast import compare_values
 
     if isinstance(left, Const) and isinstance(right, Const):
         return np.full(n, compare_values(op, left.value, right.value))

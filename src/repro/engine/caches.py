@@ -1,7 +1,8 @@
-"""Cross-query engine caches: instance statistics and term closures.
+"""Cross-query engine caches: instance statistics, term closures and
+generated kernels.
 
-Two computations recur across requests against the same data and are
-pure functions of immutable inputs, so they are cached process-wide:
+Three computations recur across requests and are pure functions of
+immutable inputs, so they are cached process-wide:
 
 * :func:`stats_for` — ``collect_stats`` results, keyed by the
   instance's content :meth:`~repro.data.instance.Instance.fingerprint`.
@@ -13,15 +14,20 @@ pure functions of immutable inputs, so they are cached process-wide:
   computation (worst case ``|base| ** (max_arity ** k)``) and the
   [AB88]-style baseline translation emits the *same* ``AdomK`` node
   many times per plan, so this cache pays off even within one request.
+* :func:`kernel_factory` — the compiled factories of the generated
+  tuple kernels (:mod:`repro.engine.compile`), keyed by kernel kind and
+  expression shape.  Compiling a kernel costs ten to sixty times a
+  cache hit, and operators are rebuilt on every execution.
 
-Both caches are content-addressed, so a *different* instance can never
+The first two are content-addressed, so a *different* instance can never
 be served a stale entry — new content hashes to a new key and old
 entries age out of the bounded LRU.  The closure additionally depends
 on the interpretation and the schema's function signatures, which have
 no content hash; entries therefore pin those objects and are verified
 **by identity** on every hit (``entry.interp is interpretation``).  A
 logically equal but distinct interpretation misses and recomputes —
-correct, merely not maximally shared.
+correct, merely not maximally shared.  A kernel's source depends on
+its key alone; constants and functions are arguments of the factory.
 
 :func:`clear_engine_caches` drops everything; the service layer calls
 it alongside :func:`repro.safety.clear_caches` whenever the
@@ -33,7 +39,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Lock
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from repro.core.schema import DatabaseSchema
 from repro.data.domain import term_closure
@@ -41,19 +47,22 @@ from repro.data.instance import Instance
 from repro.data.interpretation import Interpretation
 from repro.engine.stats import InstanceStats, collect_stats
 
-__all__ = ["stats_for", "closure_for", "clear_engine_caches",
-           "engine_cache_info"]
+__all__ = ["stats_for", "closure_for", "kernel_factory",
+           "clear_engine_caches", "engine_cache_info"]
 
 #: Maximum distinct instances whose statistics are retained.
 STATS_CACHE_SIZE = 64
 #: Maximum retained term-closure materializations.
 CLOSURE_CACHE_SIZE = 64
+#: Maximum retained kernel factories (one per kind and shape).
+KERNEL_CACHE_SIZE = 1024
 
 _lock = Lock()
 _stats_cache: OrderedDict = OrderedDict()
 _closure_cache: OrderedDict = OrderedDict()
-_hits = {"stats": 0, "closure": 0}
-_misses = {"stats": 0, "closure": 0}
+_kernel_cache: OrderedDict = OrderedDict()
+_hits = {"stats": 0, "closure": 0, "kernel": 0}
+_misses = {"stats": 0, "closure": 0, "kernel": 0}
 
 
 @dataclass(slots=True)
@@ -117,8 +126,28 @@ def closure_for(instance: Instance, level: int, extras: Iterable[Hashable],
     return closure
 
 
+def kernel_factory(key: tuple, build: Callable[[tuple], Callable]
+                   ) -> Callable:
+    """The compiled kernel factory for ``key``, made by ``build(key)``
+    on a miss and kept in a bounded LRU."""
+    with _lock:
+        factory = _kernel_cache.get(key)
+        if factory is not None:
+            _kernel_cache.move_to_end(key)
+            _hits["kernel"] += 1
+            return factory
+    factory = build(key)
+    with _lock:
+        _misses["kernel"] += 1
+        _kernel_cache[key] = factory
+        _kernel_cache.move_to_end(key)
+        while len(_kernel_cache) > KERNEL_CACHE_SIZE:
+            _kernel_cache.popitem(last=False)
+    return factory
+
+
 def clear_engine_caches() -> None:
-    """Drop all cached statistics and closures (idempotent).
+    """Drop all cached statistics, closures and kernels (idempotent).
 
     Hit/miss counters are reset too, so :func:`engine_cache_info`
     reflects only activity since the last clear.  The columnar scan
@@ -128,6 +157,7 @@ def clear_engine_caches() -> None:
     with _lock:
         _stats_cache.clear()
         _closure_cache.clear()
+        _kernel_cache.clear()
         for counter in (_hits, _misses):
             for name in counter:
                 counter[name] = 0
@@ -135,7 +165,7 @@ def clear_engine_caches() -> None:
 
 
 def engine_cache_info() -> dict:
-    """Hit/miss/size counters for both caches, JSON-ready."""
+    """Hit/miss/size counters for every cache, JSON-ready."""
     with _lock:
         return {
             "stats": {"entries": len(_stats_cache),
@@ -143,4 +173,6 @@ def engine_cache_info() -> dict:
             "closure": {"entries": len(_closure_cache),
                         "hits": _hits["closure"],
                         "misses": _misses["closure"]},
+            "kernel": {"entries": len(_kernel_cache),
+                       "hits": _hits["kernel"], "misses": _misses["kernel"]},
         }

@@ -23,9 +23,10 @@ into batches of ``batch_size`` rows (default :data:`DEFAULT_BATCH_SIZE`,
 overridable via the ``REPRO_BATCH_SIZE`` environment variable);
 streaming operators consume one child batch per output batch, so batch
 boundaries flow through the pipeline and output batches may be smaller
-(filters) or larger (joins) than ``batch_size``.  Predicates and
-projections are compiled **once** per operator
-(:mod:`repro.engine.compile`) and applied over each batch.
+(filters) or larger (joins) than ``batch_size``.  Every predicate and
+projection runs as a generated kernel (:mod:`repro.engine.compile`):
+Python source made from the expression's shape, compiled once per shape
+and cached across queries, that processes a whole batch per call.
 Concatenating an operator's batches yields exactly the row stream the
 old tuple-at-a-time protocol produced (property-tested), so batch size
 can never change answers.
@@ -58,7 +59,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Union as _Union
 
 from repro.algebra.ast import ColExpr, Condition
-from repro.data.interpretation import Interpretation, UNDEFINED
+from repro.data.interpretation import Interpretation
 from repro.data.relation import Relation
 from repro.engine.batches import (
     ColumnBatch,
@@ -74,12 +75,9 @@ from repro.engine.batches import (
 )
 from repro.engine.batches import DEFAULT_BATCH_REPR
 from repro.engine.compile import (
-    compile_colexpr,
-    compile_predicate,
+    compile_kernel,
     compile_predicate_columnar,
-    compile_projection,
     compile_projection_columnar,
-    may_be_undefined,
 )
 from repro.errors import EvaluationError
 
@@ -162,9 +160,10 @@ class OpCounters:
     examined, not skipped.  The one divergence is short-circuiting —
     a vectorized anti-join with residual conditions evaluates *all*
     candidate pairs where the tuple kernel stops at the first match, so
-    its count can be higher (never lower).  ``function_calls`` may
-    likewise differ across representations because mask conjunction
-    does not short-circuit the way the compiled row predicate does.
+    its count can be higher (never lower).  The interpretation's
+    function-call count may likewise differ across representations,
+    because mask conjunction does not short-circuit the way a tuple
+    kernel does.
 
     ``kernel_batches``/``fallback_batches`` record, in column mode, how
     many batches took the vectorized kernel vs the tuple fallback; both
@@ -172,7 +171,6 @@ class OpCounters:
     """
 
     rows: dict[str, int] = field(default_factory=dict)
-    function_calls: int = 0
     batches: int = 0
     comparisons: int = 0
     kernel_batches: int = 0
@@ -374,9 +372,9 @@ class LiteralOp(PhysicalOp):
 
 class FilterOp(PhysicalOp):
     """Filter by a conjunction of conditions, compiled once per
-    representation: a ``row -> bool`` closure applied as one list
-    comprehension per tuple batch, or a ``batch -> mask`` kernel whose
-    boolean mask selects the surviving rows of a column batch in one
+    representation: a generated ``filter`` kernel returns the surviving
+    rows of a tuple batch, and a ``batch -> mask`` kernel's boolean
+    mask selects the surviving rows of a column batch in one
     ``compress``."""
 
     def __init__(self, conds: frozenset[Condition], child: PhysicalOp,
@@ -386,32 +384,33 @@ class FilterOp(PhysicalOp):
         self.arity = child.arity
         self.counters = child.counters
         self.interpretation = interpretation
-        self._passes = compile_predicate(conds, interpretation)
+        self._select = (compile_kernel("filter", conds, interpretation)
+                        if conds else None)
 
     def _batches(self) -> Iterator[Batch]:
         child = self.child
-        passes = self._passes
-        columnar = self.batch_repr == "column" and passes is not None
+        select = self._select
+        columnar = self.batch_repr == "column" and select is not None
         mask_of = (compile_predicate_columnar(self.conds, self.interpretation)
                    if columnar else None)
 
         def generate() -> Iterator[Batch]:
             while (batch := child.next_batch()) is not None:
-                if passes is None:
+                if select is None:
                     yield batch
                 elif mask_of is not None and isinstance(batch, ColumnBatch):
                     try:
                         mask = mask_of(batch)
                     except ColumnarFallback:
                         self._note_fallback()
-                        yield [row for row in batch.to_rows() if passes(row)]
+                        yield select(batch.to_rows())
                         continue
                     self._note_kernel()
                     yield batch.compress(mask)
                 else:
                     if columnar:
                         self._note_fallback()
-                    yield [row for row in batch if passes(row)]
+                    yield select(batch)
 
         return self._emit("filter", generate())
 
@@ -419,17 +418,16 @@ class FilterOp(PhysicalOp):
 class MapOp(PhysicalOp):
     """Extended projection with deduplication (set semantics).
 
-    The projection is compiled once per representation; each child batch
-    is projected, UNDEFINED-bearing rows are dropped, and a seen-set
-    keeps first occurrences only.  The columnar kernel projects pure
+    The projection is compiled once per representation.  A generated
+    ``map`` kernel projects each row of a tuple batch, drops rows with
+    an UNDEFINED application, and keeps first occurrences only against
+    the operator's seen-set.  The columnar kernel projects pure
     column references zero-copy, applies scalar functions over column
     value streams with UNDEFINED tracked in the validity mask, drops
     masked rows with one ``compress``, and dedups survivors through one
     index gather — the seen-set (plain row tuples, the only hashing
     that matches Python set semantics) is shared with the tuple
-    fallback, so mixed streams dedup correctly.  A projection with no
-    function applications is total, so the per-row UNDEFINED scan is
-    skipped for it (this is the dominant cost on wide intermediates).
+    fallback, so mixed streams dedup correctly.
     """
 
     def __init__(self, exprs: tuple[ColExpr, ...], child: PhysicalOp,
@@ -439,33 +437,11 @@ class MapOp(PhysicalOp):
         self.arity = len(exprs)
         self.counters = child.counters
         self.interpretation = interpretation
-        self._project = compile_projection(exprs, interpretation)
-        self._may_undef = any(may_be_undefined(e) for e in exprs)
-
-    def _project_rows(self, rows: Iterable[tuple],
-                      seen: set[tuple]) -> list[tuple]:
-        """Tuple kernel over one batch, against a shared seen-set."""
-        project = self._project
-        add = seen.add
-        out: list[tuple] = []
-        append = out.append
-        if self._may_undef:
-            for projected in map(project, rows):
-                if projected in seen:
-                    continue
-                if any(v is UNDEFINED for v in projected):
-                    continue
-                add(projected)
-                append(projected)
-        else:
-            for projected in map(project, rows):
-                if projected not in seen:
-                    add(projected)
-                    append(projected)
-        return out
+        self._project = compile_kernel("map", exprs, interpretation)
 
     def _batches(self) -> Iterator[Batch]:
         child = self.child
+        project = self._project
         columnar = self.batch_repr == "column"
         col_project = (compile_projection_columnar(self.exprs,
                                                    self.interpretation)
@@ -480,14 +456,14 @@ class MapOp(PhysicalOp):
                         projected = drop_undefined(col_project(batch))
                     except ColumnarFallback:
                         self._note_fallback()
-                        yield self._project_rows(batch.to_rows(), seen)
+                        yield project(batch.to_rows(), seen)
                         continue
                     self._note_kernel()
                     yield deduper.filter_batch(projected)
                 else:
                     if columnar:
                         self._note_fallback()
-                    yield self._project_rows(batch, seen)
+                    yield project(batch, seen)
 
         return self._emit("map", generate())
 
@@ -516,8 +492,9 @@ class HashJoinOp(PhysicalOp):
     residual non-equi conditions are applied per candidate after the
     probe.  Each bucket candidate examined counts one comparison.
 
-    The tuple kernel builds a hash table keyed by the right key
-    columns.  The columnar kernel builds a
+    The tuple path builds a hash table keyed by the right key columns
+    and probes it with a generated ``hash-join`` kernel that checks the
+    residual inline.  The columnar kernel builds a
     :class:`~repro.engine.batches.JoinIndex` over the build side's key
     *columns* and answers each probe batch with vectorized lookups; the
     matching pairs are gathered straight into output columns (no Python
@@ -539,27 +516,11 @@ class HashJoinOp(PhysicalOp):
         self.interpretation = interpretation
         self._left_key = _key_fn(tuple(lc for (lc, _rc) in key_pairs))
         self._right_key = _key_fn(tuple(rc for (_lc, rc) in key_pairs))
-        self._residual_ok = compile_predicate(residual, interpretation)
+        self._probe = compile_kernel("hash-join", residual, interpretation)
 
     def _probe_rows(self, rows: Iterable[tuple], table: dict) -> list[tuple]:
         """Tuple kernel over one probe batch."""
-        left_key = self._left_key
-        residual_ok = self._residual_ok
-        counters = self.counters
-        get = table.get
-        out: list[tuple] = []
-        extend = out.extend
-        for lrow in rows:
-            candidates = get(left_key(lrow))
-            if not candidates:
-                continue
-            counters.comparisons += len(candidates)
-            if residual_ok is None:
-                extend(lrow + rrow for rrow in candidates)
-            else:
-                extend(combined for rrow in candidates
-                       if residual_ok(combined := lrow + rrow))
-        return out
+        return self._probe(rows, table.get, self._left_key, self.counters)
 
     def _build_table(self, rows: Iterable[tuple]) -> dict:
         table: dict = {}
@@ -600,9 +561,11 @@ class HashJoinOp(PhysicalOp):
             return table
 
         residual = self.residual
-        col_residual = (compile_predicate_columnar(residual,
-                                                   self.interpretation)
-                        if residual else None)
+        col_residual = select = None
+        if residual:
+            col_residual = compile_predicate_columnar(residual,
+                                                      self.interpretation)
+            select = compile_kernel("filter", residual, self.interpretation)
         key_pairs = self.key_pairs
         counters = self.counters
         left = self.left
@@ -625,9 +588,7 @@ class HashJoinOp(PhysicalOp):
                     mask = col_residual(combined)
                 except ColumnarFallback:
                     self._note_fallback()
-                    residual_ok = self._residual_ok
-                    yield [row for row in combined.to_rows()
-                           if residual_ok(row)]
+                    yield select(combined.to_rows())
                     continue
                 combined = combined.compress(mask)
             self._note_kernel()
@@ -640,9 +601,10 @@ class NestedLoopJoinOp(PhysicalOp):
 
     With conditions, every (left, right) pair is examined (counted as a
     comparison); without conditions this is a pure product and no
-    comparisons are counted.  The columnar kernel builds the cross
-    product as two index gathers and decides the conditions as one
-    boolean mask over the combined batch.
+    comparisons are counted.  The tuple path is a generated ``nl-join``
+    kernel that checks the conditions inline.  The columnar kernel
+    builds the cross product as two index gathers and decides the
+    conditions as one boolean mask over the combined batch.
     """
 
     def __init__(self, conds: frozenset[Condition],
@@ -654,17 +616,14 @@ class NestedLoopJoinOp(PhysicalOp):
         self.arity = left.arity + right.arity
         self.counters = left.counters
         self.interpretation = interpretation
-        self._passes = compile_predicate(conds, interpretation)
+        self._cross = compile_kernel("nl-join", conds, interpretation)
 
     def _cross_rows(self, rows: list[tuple],
                     inner: list[tuple]) -> list[tuple]:
         """Tuple kernel over one left batch."""
-        passes = self._passes
-        if passes is None:
-            return [lrow + rrow for lrow in rows for rrow in inner]
-        self.counters.comparisons += len(rows) * len(inner)
-        return [combined for lrow in rows for rrow in inner
-                if passes(combined := lrow + rrow)]
+        if self.conds:
+            self.counters.comparisons += len(rows) * len(inner)
+        return self._cross(rows, inner)
 
     def _batches(self) -> Iterator[Batch]:
         def generate() -> Iterator[Batch]:
@@ -680,10 +639,12 @@ class NestedLoopJoinOp(PhysicalOp):
                                   for row in batch]
                 return inner_rows
 
-            col_passes = (compile_predicate_columnar(self.conds,
-                                                     self.interpretation)
-                          if columnar and self.conds else None)
-            passes = self._passes
+            col_passes = select = None
+            if columnar and self.conds:
+                col_passes = compile_predicate_columnar(self.conds,
+                                                        self.interpretation)
+                select = compile_kernel("filter", self.conds,
+                                        self.interpretation)
             counters = self.counters
             left = self.left
             while (batch := left.next_batch()) is not None:
@@ -702,7 +663,7 @@ class NestedLoopJoinOp(PhysicalOp):
                     mask = col_passes(combined)
                 except ColumnarFallback:
                     self._note_fallback()
-                    yield [row for row in combined.to_rows() if passes(row)]
+                    yield select(combined.to_rows())
                     continue
                 self._note_kernel()
                 yield combined.compress(mask)
@@ -714,6 +675,7 @@ class EnumerateOp(PhysicalOp):
     """Inverse application via a registered enumerator ([RBS87]/[Coh86]
     extension): appends the derived values for each input row.
 
+    The inputs are evaluated by a generated ``enumerate`` kernel.
     Enumerators return variable-length row sets, so there is no
     vectorized kernel: in column mode each batch runs row-wise (counted
     as a fallback) and the output is re-columnarized best-effort so the
@@ -730,24 +692,17 @@ class EnumerateOp(PhysicalOp):
         self.arity = child.arity + out_count
         self.counters = child.counters
         self.interpretation = interpretation
-        self._input_fns = tuple(
-            compile_colexpr(e, interpretation) for e in inputs)
+        self._extend = compile_kernel("enumerate", inputs, interpretation)
 
     def _batches(self) -> Iterator[Batch]:
         child = self.child
-        input_fns = self._input_fns
+        extend = self._extend
         enumerator = self.enumerator
         columnar = self.batch_repr == "column"
 
         def generate() -> Iterator[Batch]:
             while (batch := child.next_batch()) is not None:
-                out: list[tuple] = []
-                for row in as_rows(batch):
-                    values = [fn(row) for fn in input_fns]
-                    if any(v is UNDEFINED for v in values):
-                        continue
-                    out.extend(row + tuple(derived)
-                               for derived in enumerator(*values))
+                out = extend(as_rows(batch), enumerator)
                 if columnar:
                     self._note_fallback()
                     recolumnarized = ColumnBatch.from_rows(out)
@@ -767,9 +722,9 @@ class AntiJoinOp(PhysicalOp):
     normalization turns it into an :class:`~repro.algebra.ast.AntiJoin`
     node, which the planner runs as this operator, evaluating ``ctx``
     once.  Equi-conditions build a hash table on the
-    right; residual conditions are checked per candidate, short-
-    circuiting at the first match (each candidate examined counts one
-    comparison).
+    right; a generated ``anti-join`` kernel checks the residual
+    conditions per candidate, short-circuiting at the first match (each
+    candidate examined counts one comparison).
 
     The columnar kernel answers the membership question with
     :meth:`~repro.engine.batches.JoinIndex.match_counts` — one count
@@ -797,34 +752,15 @@ class AntiJoinOp(PhysicalOp):
             self._right_key = _key_fn(tuple(rc for (_lc, rc) in key_pairs))
         else:
             self._left_key = self._right_key = None
-        self._residual_ok = compile_predicate(residual, interpretation)
+        self._anti = compile_kernel(
+            "anti-join-keyed" if key_pairs else "anti-join", residual,
+            interpretation)
 
     def _filter_rows(self, rows: Iterable[tuple], table: dict,
                      materialized: list[tuple]) -> list[tuple]:
         """Tuple kernel over one left batch."""
-        left_key = self._left_key
-        residual_ok = self._residual_ok
-        counters = self.counters
-        get = table.get
-        empty: tuple = ()
-
-        def matches(lrow: tuple) -> bool:
-            if left_key is not None:
-                candidates = get(left_key(lrow), empty)
-            else:
-                candidates = materialized
-            if residual_ok is None:
-                if candidates:
-                    counters.comparisons += 1
-                    return True
-                return False
-            for rrow in candidates:
-                counters.comparisons += 1
-                if residual_ok(lrow + rrow):
-                    return True
-            return False
-
-        return [row for row in rows if not matches(row)]
+        return self._anti(rows, table.get, self._left_key, materialized,
+                          self.counters)
 
     def _batches(self) -> Iterator[Batch]:
         if self.batch_repr == "column":

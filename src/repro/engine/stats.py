@@ -25,6 +25,7 @@ from repro.algebra.ast import (
     AdomK,
     AlgebraExpr,
     AntiJoin,
+    CConst,
     Col,
     Condition,
     Diff,
@@ -37,6 +38,7 @@ from repro.algebra.ast import (
     Rel,
     Select,
     Union,
+    compare_values,
 )
 from repro.data.instance import Instance
 
@@ -93,7 +95,6 @@ def collect_stats(instance: Instance) -> InstanceStats:
 def _condition_selectivity(cond: Condition, distinct_of) -> float:
     """Selectivity of one condition; ``distinct_of(col)`` estimates a
     column's distinct count."""
-    from repro.algebra.ast import CConst, compare_values
     if isinstance(cond.left, CConst) and isinstance(cond.right, CConst):
         # Constant vs constant is decidable at plan time: exactly 1.0
         # or 0.0, never a guess (the rewrite pass folds these away).

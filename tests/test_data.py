@@ -127,19 +127,6 @@ class TestInterpretation:
         interp.reset_counts()
         assert interp.call_count() == 0
 
-    def test_memoization_calls_underlying_once(self):
-        calls = []
-
-        def fn(v):
-            calls.append(v)
-            return v * 2
-
-        interp = Interpretation({"f": fn}, memoize=True)
-        assert interp.apply("f", 3) == 6
-        assert interp.apply("f", 3) == 6
-        assert calls == [3]
-        assert interp.call_count("f") == 2  # counted per request
-
     def test_validate_against_schema(self):
         schema = DatabaseSchema.of({}, {"f": 1})
         with pytest.raises(EvaluationError):
